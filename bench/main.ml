@@ -1101,15 +1101,14 @@ let bench_store () =
 
 (* End-to-end: a real [perso_cli serve]-shaped server (socket and all),
    driven by {!Perso_server.Loadgen}'s open-loop Poisson arrivals with
-   Zipf-skewed users, once per I/O runtime (`threads` and `evloop`).
-   Latency quantiles come from the mergeable log-bucketed histogram;
-   every client-side tally is cross-checked against the server's own
-   HEALTH ledger delta, so a dropped or double-counted request anywhere
-   in either runtime fails the ledger_balanced gate in `make check`.
+   Zipf-skewed users.  Latency quantiles come from the mergeable
+   log-bucketed histogram; every client-side tally is cross-checked
+   against the server's own HEALTH ledger delta, so a dropped or
+   double-counted request anywhere fails the ledger_balanced gate in
+   `make check`.
 
-   On a one-core container threads-vs-evloop throughput is noise — the
-   client threads and the server share the core — so the JSON records
-   the host's core count and `make check` gates only on sanity
+   The client threads and the server share the host's cores, so the
+   JSON records the core count and `make check` gates only on sanity
    (ledger balance, quantile monotonicity), never absolute numbers.
    Writes BENCH_SERVE.json; override with BENCH_SERVE_OUT. *)
 
@@ -1149,20 +1148,22 @@ let bench_serve () =
     | Some v -> ( match int_of_string_opt v with Some i -> i | None -> 0)
     | None -> 0
   in
-  let run_io (io, start_server) =
+  let run_server () =
     let socket_path = Filename.temp_file "bench_serve" ".sock" in
     Sys.remove socket_path;
     let cfg =
       {
-        (Server.default_config ~socket_path) with
-        Server.workers = 4;
+        (Server_core.default_config ~socket_path) with
+        Server_core.workers = 4;
         queue_capacity = 64;
         shards = 4;
         deadline_ms = None;
       }
     in
-    let stop_server = start_server cfg in
-    Fun.protect ~finally:stop_server (fun () ->
+    let server = Server.start cfg sdb in
+    Fun.protect
+      ~finally:(fun () -> ignore (Server.stop server : Server_core.drain_outcome))
+      (fun () ->
         (* Preseed every user's profile so PERSONALIZE and PROFILE LOAD
            hit real data, then snapshot the ledger: the benchmark is
            reconciled against the delta, not absolute counters. *)
@@ -1224,15 +1225,15 @@ let bench_serve () =
           List.for_all
             (fun (what, got, want) ->
               if got <> want then
-                Printf.printf "# LEDGER MISMATCH (%s): %s: client %d vs server %d\n%!"
-                  io what got want;
+                Printf.printf "# LEDGER MISMATCH: %s: client %d vs server %d\n%!"
+                  what got want;
               got = want)
             checks
         in
         let q p = Putil.Histogram.quantile r.Loadgen.hist p in
         let row =
           Printf.sprintf
-            "    {\"io\": %S, \"req_per_s\": %.1f, \"elapsed_s\": %.3f, \
+            "{\"req_per_s\": %.1f, \"elapsed_s\": %.3f, \
              \"sent\": %d, \"ok\": %d, \"ok_health\": %d, \
              \"err_overloaded\": %d, \"err_other\": %d, \
              \"err_transport\": %d, \"p50_us\": %d, \"p99_us\": %d, \
@@ -1240,7 +1241,6 @@ let bench_serve () =
              \"shed_queue_full\": %d, \"shed_expired\": %d, \
              \"shed_draining\": %d, \"shed_breaker\": %d, \
              \"ledger_balanced\": %b}"
-            io
             (float_of_int r.Loadgen.sent /. r.Loadgen.elapsed_s)
             r.Loadgen.elapsed_s r.Loadgen.sent r.Loadgen.ok
             r.Loadgen.ok_health r.Loadgen.err_overloaded r.Loadgen.err_other
@@ -1251,7 +1251,7 @@ let bench_serve () =
             (d "shed_breaker") balanced
         in
         Printf.printf
-          "%-8s %9.1f %9.1f %9.3f %9.3f %9.3f %6d %6d %6s\n%!" io rate
+          "%9.1f %9.1f %9.3f %9.3f %9.3f %6d %6d %6s\n%!" rate
           (float_of_int r.Loadgen.sent /. r.Loadgen.elapsed_s)
           (float_of_int (q 0.50) /. 1e3)
           (float_of_int (q 0.99) /. 1e3)
@@ -1265,19 +1265,9 @@ let bench_serve () =
      ## Serve benchmark — open-loop Poisson @ %.0f req/s, %d requests, %d \
      clients, %d Zipf users\n"
     rate requests clients users;
-  Printf.printf "%-8s %9s %9s %9s %9s %9s %6s %6s %6s\n" "io" "offered"
+  Printf.printf "%9s %9s %9s %9s %9s %6s %6s %6s\n" "offered"
     "achieved" "p50_ms" "p99_ms" "p999_ms" "ok" "shed" "ledger";
-  let rows =
-    List.map run_io
-      [
-        ("threads", fun cfg ->
-            let t = Server.start cfg sdb in
-            fun () -> ignore (Server.stop t : Server.drain_outcome));
-        ("evloop", fun cfg ->
-            let t = Server_ev.start cfg sdb in
-            fun () -> ignore (Server_ev.stop t : Server_ev.drain_outcome));
-      ]
-  in
+  let row = run_server () in
   let path =
     Option.value ~default:"BENCH_SERVE.json" (Sys.getenv_opt "BENCH_SERVE_OUT")
   in
@@ -1293,12 +1283,12 @@ let bench_serve () =
     \  \"clients\": %d,\n\
     \  \"users\": %d,\n\
     \  \"zipf_s\": 1.1,\n\
-    \  \"runtimes\": [\n%s\n  ]\n\
+    \  \"run\": %s\n\
      }\n"
     scale.label
     (Domain.recommended_domain_count ())
     movies rate requests clients users
-    (String.concat ",\n" rows);
+    row;
   close_out oc;
   Printf.printf "# wrote %s\n%!" path
 

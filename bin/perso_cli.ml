@@ -386,24 +386,14 @@ let parse_store = function
       Error
         (Printf.sprintf "--store must be 'memory' or 'disk:DIR' (got %S)" s)
 
-(* "--io threads" (an OS thread per connection) or "--io evloop" (the
-   single-domain event loop); same wire behavior either way. *)
-let parse_io = function
-  | "threads" -> Ok `Threads
-  | "evloop" -> Ok `Evloop
-  | s ->
-      Error (Printf.sprintf "--io must be 'threads' or 'evloop' (got %S)" s)
-
 let serve movies seed data_dir deadline max_rows max_expansions socket tcp
     workers queue drain_ms breaker_threshold breaker_cooldown dump_dir
     chaos_seed chaos_p no_cache cache_entries cache_mb domains shards store
-    replicas profile_lru io =
+    replicas profile_lru =
   let store_dir = parse_store store in
-  let io = parse_io io in
   validated
     [
       (match store_dir with Error m -> Some m | Ok _ -> None);
-      (match io with Error m -> Some m | Ok _ -> None);
       pos_int "workers" workers;
       pos_int "queue" queue;
       pos_int "cache-entries" cache_entries;
@@ -418,7 +408,6 @@ let serve movies seed data_dir deadline max_rows max_expansions socket tcp
     ]
   @@ fun () ->
   let store_dir = Result.get_ok store_dir in
-  let io = Result.get_ok io in
   guarded (fun () ->
       with_pool domains @@ fun () ->
       let db = db_of ?data_dir ~movies ~seed () in
@@ -429,8 +418,8 @@ let serve movies seed data_dir deadline max_rows max_expansions socket tcp
       | _ -> ());
       let cfg =
         {
-          (Perso_server.Server.default_config ~socket_path:socket) with
-          Perso_server.Server.tcp_port = tcp;
+          (Perso_server.Server_core.default_config ~socket_path:socket) with
+          Perso_server.Server_core.tcp_port = tcp;
           workers;
           queue_capacity = queue;
           deadline_ms = deadline;
@@ -463,48 +452,31 @@ let serve movies seed data_dir deadline max_rows max_expansions socket tcp
             "recovery: failover=%s quarantined=%s salvaged=%s catchups=%s\n%!"
             fo q (hv "store_salvaged") (hv "store_catchups")
       in
-      let print_serving suffix =
-        Printf.eprintf "serving on %s%s (workers=%d queue=%d)%s\n%!" socket
+      (* The loop runs on this very thread; SIGTERM/SIGINT only flip an
+         atomic its supervisor task polls, which begins the drain. *)
+      let stop_flag = Atomic.make false in
+      let on_signal _ = Atomic.set stop_flag true in
+      (try Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal)
+       with Invalid_argument _ -> ());
+      (try Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal)
+       with Invalid_argument _ -> ());
+      let on_started h =
+        print_recovery h;
+        Printf.eprintf "serving on %s%s (workers=%d queue=%d)\n%!" socket
           (match tcp with
           | Some p -> Printf.sprintf " and 127.0.0.1:%d" p
           | None -> "")
-          workers queue suffix
+          workers queue
       in
-      let set_signals on_signal =
-        (* SIGTERM/SIGINT begin the drain; the runtime completes it. *)
-        (try Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal)
-         with Invalid_argument _ -> ());
-        try Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal)
-        with Invalid_argument _ -> ()
-      in
-      let print_outcome (outcome : Perso_server.Server.drain_outcome) =
-        Printf.eprintf "drained=%b shed_at_stop=%d%s\n%!"
-          outcome.Perso_server.Server.drained
-          outcome.Perso_server.Server.shed_at_stop
-          (match outcome.Perso_server.Server.dump with
-          | Some (Ok dir) -> Printf.sprintf " dumped=%s" dir
-          | Some (Error e) -> Printf.sprintf " dump-failed=%s" e
-          | None -> "");
-        if outcome.Perso_server.Server.drained then 0 else 1
-      in
-      match io with
-      | `Threads ->
-          let t = Perso_server.Server.start cfg db in
-          print_recovery (Perso_server.Server.health t);
-          set_signals (fun _ -> Perso_server.Server.request_stop t);
-          print_serving "";
-          print_outcome (Perso_server.Server.wait t)
-      | `Evloop ->
-          (* The loop runs on this very thread; the signal handler only
-             flips an atomic the supervisor task polls. *)
-          let stop_flag = Atomic.make false in
-          set_signals (fun _ -> Atomic.set stop_flag true);
-          let on_started h =
-            print_recovery h;
-            print_serving " io=evloop"
-          in
-          print_outcome
-            (Perso_server.Server_ev.run ~stop_flag ~on_started cfg db))
+      let outcome = Perso_server.Server.run ~stop_flag ~on_started cfg db in
+      Printf.eprintf "drained=%b shed_at_stop=%d%s\n%!"
+        outcome.Perso_server.Server_core.drained
+        outcome.Perso_server.Server_core.shed_at_stop
+        (match outcome.Perso_server.Server_core.dump with
+        | Some (Ok dir) -> Printf.sprintf " dumped=%s" dir
+        | Some (Error e) -> Printf.sprintf " dump-failed=%s" e
+        | None -> "");
+      if outcome.Perso_server.Server_core.drained then 0 else 1)
 
 let socket_arg =
   let doc = "Unix-domain socket path to listen on." in
@@ -596,14 +568,6 @@ let profile_lru_arg =
   in
   Arg.(value & opt int 512 & info [ "profile-lru" ] ~docv:"N" ~doc)
 
-let io_arg =
-  let doc =
-    "I/O runtime: $(b,threads) (default; one OS thread per connection) or \
-     $(b,evloop) (single-domain event loop over nonblocking sockets, \
-     byte-identical wire behavior)."
-  in
-  Arg.(value & opt string "threads" & info [ "io" ] ~docv:"RUNTIME" ~doc)
-
 let serve_cmd =
   Cmd.v
     (Cmd.info "serve"
@@ -616,7 +580,7 @@ let serve_cmd =
       $ queue_arg $ drain_arg $ breaker_threshold_arg $ breaker_cooldown_arg
       $ dump_dir_arg $ chaos_seed_arg $ chaos_p_arg $ no_cache_arg
       $ cache_entries_arg $ cache_mb_arg $ domains_arg $ shards_arg
-      $ store_arg $ replicas_arg $ profile_lru_arg $ io_arg)
+      $ store_arg $ replicas_arg $ profile_lru_arg)
 
 (* ---------------- scrub ---------------- *)
 

@@ -6,7 +6,7 @@
     readiness loop on nonblocking sockets.  {!R} exposes it as a
     {!Runtime.S} instance, so [Server_core.Make (Evloop.R)] runs the
     whole worker-pool/admission/breaker/drain machinery unchanged on one
-    domain ([serve --io evloop]).
+    domain; {!Server} serves on it.
 
     With [clock:`Virtual] no OS time or fd is ever touched: idle steps
     jump virtual time to the next timer and fd waits raise.  The sim's

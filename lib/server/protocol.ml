@@ -69,6 +69,8 @@ let parse_command line =
   | "QUIT" -> Ok Quit
   | other -> Error (Printf.sprintf "unknown command %s" other)
 
+let max_line_bytes = 1 lsl 20
+
 let command_name = function
   | Run _ -> "RUN"
   | Personalize _ -> "PERSONALIZE"
@@ -91,10 +93,9 @@ let one_line s =
   String.concat "; "
     (List.filter (fun l -> l <> "") (String.split_on_char '\n' s))
 
-(* Responses render into a Buffer first: the thread shell writes the
-   buffer to an out_channel, the event-loop shell writes the same bytes
-   to a nonblocking fd in one batch.  Byte-identity across runtimes is
-   by construction — there is exactly one renderer. *)
+(* Responses render into a Buffer that the server writes to a
+   nonblocking fd in one batch; in-process replays render through the
+   same printers, so their bytes compare directly. *)
 
 let bprint_rows b ~notes (res : Relal.Exec.result) =
   Printf.bprintf b "OK rows=%d\n" (List.length res.Relal.Exec.rows);
@@ -121,17 +122,6 @@ let bprint_error b err =
     (Perso.Error.family_name err)
     (Perso.Error.exit_code err)
     (one_line (Perso.Error.to_string err))
-
-let via_buffer render oc =
-  let b = Buffer.create 256 in
-  render b;
-  Buffer.output_buffer oc b;
-  flush oc
-
-let write_rows oc ~notes res = via_buffer (fun b -> bprint_rows b ~notes res) oc
-let write_stats oc stats = via_buffer (fun b -> bprint_stats b stats) oc
-let write_message oc msg = via_buffer (fun b -> bprint_message b msg) oc
-let write_error oc err = via_buffer (fun b -> bprint_error b err) oc
 
 let drop_prefix line p =
   let n = String.length p in

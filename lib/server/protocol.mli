@@ -74,13 +74,19 @@ val parse_header_line : string -> (header -> header) option
 
 val parse_command : string -> (command, string) result
 
+val max_line_bytes : int
+(** The longest request line a server reads (1 MiB, newline excluded);
+    a longer one is refused with a typed error and the connection is
+    closed.  Far above any real request: a PROFILE SAVE of a few hundred
+    preferences is tens of kilobytes. *)
+
 val command_name : command -> string
 (** The leading keyword, for logs and counters. *)
 
 (** {1 Response formatting / parsing}
 
-    Writers emit one complete response and flush.  The reader returns
-    the structured form; it is what {!Client} uses. *)
+    Printers render one complete response into a buffer.  The reader
+    returns the structured form; it is what {!Client} uses. *)
 
 type response =
   | Rows of { notes : string list; cols : string list; rows : string list list }
@@ -93,22 +99,14 @@ val one_line : string -> string
     line. *)
 
 val bprint_rows : Buffer.t -> notes:string list -> Relal.Exec.result -> unit
-(** Render a row response into a buffer.  The [write_*] channel writers
-    and the event-loop shell both go through these renderers, so replies
-    are byte-identical across I/O runtimes by construction. *)
+(** Render a row response into a buffer.  The server and every
+    in-process replay of it (tests, the serve benchmark's correctness
+    check) render through these, so their bytes can be compared
+    directly. *)
 
 val bprint_stats : Buffer.t -> (string * string) list -> unit
 val bprint_message : Buffer.t -> string -> unit
 val bprint_error : Buffer.t -> Perso.Error.t -> unit
-
-val write_rows :
-  out_channel -> notes:string list -> Relal.Exec.result -> unit
-
-val write_stats : out_channel -> (string * string) list -> unit
-
-val write_message : out_channel -> string -> unit
-
-val write_error : out_channel -> Perso.Error.t -> unit
 
 val read_response : in_channel -> (response, string) result
 (** Blocking read of one response.  [Error] on a protocol violation or

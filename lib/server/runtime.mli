@@ -3,11 +3,14 @@
     Every primitive the serving stack needs from the operating system —
     the clock, sleeping, spawning and joining threads, mutexes and
     condition variables — is collected in one signature so the same
-    server logic can run on two substrates:
+    server logic can run on several substrates:
 
-    - {!Threads}: real [Thread]/[Mutex]/[Condition]/[Unix.gettimeofday],
-      used in production ({!Server} instantiates {!Server_core.Make}
-      with it);
+    - {!Evloop.R}: the single-domain event loop the socket {!Server}
+      serves on;
+    - {!Threads}: real [Thread]/[Mutex]/[Condition]/[Unix.gettimeofday].
+      It backs in-process cores only — tests, benchmarks and the serve
+      benchmark's replay drive [Server_core.Make (Runtime.Threads)]
+      directly, with no socket;
     - [Perso_sim.Sim_runtime.R]: a seeded single-threaded cooperative
       scheduler with a virtual clock, used by deterministic simulation
       so an entire serve/call session replays bit-for-bit from a seed.
@@ -48,4 +51,4 @@ module Threads :
     with type thread = Thread.t
      and type mutex = Mutex.t
      and type cond = Condition.t
-(** The production substrate: real threads and the real clock. *)
+(** Real threads and the real clock, for in-process cores. *)

@@ -1,120 +1,72 @@
-(** The concurrent personalization server.
+(** The concurrent personalization server's socket front end.
 
     One process serves many clients over a Unix-domain socket (and
-    optionally TCP) with the line protocol of {!Protocol}.  The
-    architecture is a classic bounded system:
+    optionally TCP) with the line protocol of {!Protocol}.  Everything
+    behind the wire — the bounded admission queue, the worker pool,
+    per-request budgets, the breaker-gated profile store, graceful drain
+    and the HEALTH ledger — is {!Server_core}, here instantiated on the
+    single-domain {!Evloop} runtime:
 
     {v
-    acceptor ──► connection threads ──► bounded admission queue ──► worker pool
-                      │                        │                        │
-                      │   queue full /         │  expired while         │ per-request
-                      │   draining: shed       │  queued: shed          │ Governor budget
-                      ▼                        ▼                        ▼
-                 ERR overloaded           ERR overloaded          result / typed error
+    acceptor ──► connection tasks ──► bounded admission queue ──► worker tasks
+       │               │                      │                       │
+       │ over the cap: │ over-long line:      │ queue full /          │ per-request
+       │ refuse        │ ERR, close           │ draining / expired    │ Governor budget
+       ▼               ▼                      ▼                       ▼
+    ERR overloaded  ERR parse           ERR overloaded         result / typed error
     v}
 
-    - {b Admission control}: each data-plane request is pushed into a
-      queue of at most [queue_capacity] jobs.  When the queue is full,
-      or the server is draining, the request is rejected {e immediately}
-      with a typed [Overloaded] error — the server never queues
-      unboundedly.  A request whose deadline elapses while it waits in
-      the queue is shed by the worker without doing any work.
-    - {b Budgets}: client [DEADLINE-MS]/[MAX-ROWS]/[MAX-EXPANSIONS]
-      headers are capped by the server's configured limits and armed as
-      a {!Relal.Governor} budget per request.
-    - {b Circuit breaking}: profile-store operations run through a
-      {!Breaker}.  While open, [PERSONALIZE] skips the profile load and
-      serves the plain query (with a [NOTE]), and [PROFILE SAVE] is
-      rejected with [Overloaded]; the breaker half-opens on a timer.
-    - {b Isolation}: queries hold a shared read lock on the database;
-      [PROFILE SAVE] holds the exclusive write lock (see {!Rwlock}).
-    - {b Graceful drain}: {!request_stop} (wired to SIGTERM by the CLI
-      and to the [SHUTDOWN] command) stops admission; {!stop} waits up
-      to [drain_ms] for queued and in-flight work, sheds whatever
-      remains, optionally crash-safe-dumps the database, and joins every
-      thread.
+    Connections are cooperative tasks parked on fd readiness; replies
+    render through the {!Protocol} buffer printers and go out in one
+    batched write.  There is no preemption: a running query holds the
+    loop until it finishes or its Governor deadline trips, so HEALTH and
+    PING on other connections are answered between requests, not during
+    one.
 
-    Control-plane commands ([HEALTH], [PING], [SHUTDOWN], [QUIT]) are
-    answered on the connection thread without queueing, so the server
-    stays observable exactly when it is saturated. *)
+    Two bounds protect the loop from hostile clients, each a typed
+    refusal counted in HEALTH:
+    - at most {!max_connections} connections, and never an fd that
+      select(2) cannot watch (FD_SETSIZE); a connection over the cap
+      receives one [ERR overloaded] line and is closed
+      ([refused_conn_limit]);
+    - a request line longer than {!Protocol.max_line_bytes} gets an
+      [ERR parse] line and its connection is closed, without waiting for
+      the newline ([refused_line_too_long]). *)
 
-type config = Server_core.config = {
-  socket_path : string;  (** Unix-domain socket to listen on *)
-  tcp_port : int option;  (** also listen on 127.0.0.1:port *)
-  workers : int;  (** worker-pool size (>= 1) *)
-  queue_capacity : int;  (** admission-queue bound (>= 1) *)
-  deadline_ms : float option;  (** server-side cap on request deadlines *)
-  max_rows : int option;  (** cap on rows-produced budgets *)
-  max_expansions : int option;  (** cap on selection-expansion budgets *)
-  drain_ms : float;  (** graceful-shutdown drain deadline *)
-  breaker_threshold : int;  (** consecutive storage faults that trip *)
-  breaker_cooldown_ms : float;  (** open → half-open timer *)
-  dump_dir : string option;  (** crash-safe dump target on shutdown *)
-  cache : bool;  (** personalization plan cache on the serve path *)
-  cache_entries : int;  (** LRU entry bound (split across shards) *)
-  cache_mb : float;  (** LRU byte bound (approximate accounting) *)
-  shards : int;  (** user-id shards for the profile store (>= 1) *)
-  store_dir : string option;
-      (** log-structured durable profile store root ([--store disk:DIR]);
-          [None] keeps profiles in memory only *)
-  replicas : int;
-      (** replica-set members per shard store ([--replicas N], >= 1):
-          saves ship to every member, recovery scrubs/salvages/fails
-          over among them *)
-  profile_lru_entries : int;
-      (** hot parsed-profile LRU entries, split across shards
-          ([--profile-lru N], 0 disables) *)
-}
+type config = Server_core.config
+type drain_outcome = Server_core.drain_outcome
 
-val default_config : socket_path:string -> config
-(** 4 workers, queue of 64, 5 s deadline cap, 1M rows, 10k expansions,
-    2 s drain, breaker trips after 3 and half-opens after 250 ms, no
-    TCP, no dump. *)
+val max_connections : int
+(** Live connections served at once (1000, below FD_SETSIZE = 1024). *)
+
+val run :
+  ?stop_flag:bool Atomic.t ->
+  ?on_started:((string * string) list -> unit) ->
+  config ->
+  Relal.Database.t ->
+  drain_outcome
+(** Bind the sockets and run the event loop on the calling thread until
+    something requests a stop: [stop_flag] set true (safe from a signal
+    handler — it is polled every 50 ms between tasks), a [SHUTDOWN]
+    command, or a core-level stop.  Then drain as {!Server_core.Make.stop}
+    does, shut every live connection down and join it.  [on_started]
+    fires once inside the loop with the initial HEALTH counters, after
+    the sockets are accepting.  What the CLI's [serve] runs.
+    @raise Unix.Unix_error when binding fails
+    @raise Failure when the loop itself fails (a runtime bug) *)
+
+(** {2 Background handle}
+
+    For tests and the bench harness: {!run} on a private OS thread. *)
 
 type t
 
 val start : config -> Relal.Database.t -> t
-(** Bind the sockets and spawn the acceptor and worker threads.  The
-    database is shared — the server takes ownership of coordinating
-    access to it.  @raise Unix.Unix_error when binding fails. *)
+(** Returns once the sockets are accepting.  @raise Failure when binding
+    or the loop fails at startup. *)
 
 val request_stop : t -> unit
-(** Flag the server to drain (idempotent, safe from a signal handler's
-    thread context).  Admission stops at the next check; use {!stop} or
-    {!wait} to complete the shutdown. *)
-
-val draining : t -> bool
-
-type drain_outcome = Server_core.drain_outcome = {
-  drained : bool;  (** queue and in-flight hit zero within [drain_ms] *)
-  shed_at_stop : int;  (** jobs still queued when the deadline passed *)
-  dump : (string, string) result option;
-      (** [Some (Ok dir)] after a successful shutdown dump *)
-}
+(** Idempotent, signal-safe. *)
 
 val stop : t -> drain_outcome
-(** Drain and finalize: wait up to [drain_ms] for in-flight work, shed
-    the rest with [Overloaded] errors, dump if configured, close the
-    sockets and join every server thread.  Idempotent — later calls
-    return the first outcome. *)
-
-val wait : t -> drain_outcome
-(** Block until something requests a stop ([SHUTDOWN] command, signal
-    handler calling {!request_stop}), then {!stop}.  What the CLI's
-    [serve] runs after {!start}. *)
-
-val health : t -> (string * string) list
-(** The counters the [HEALTH] command reports, as ordered pairs:
-    [state], [queue_depth], [in_flight], [workers], [queue_capacity],
-    [accepted], [completed_ok], [completed_err], [shed_queue_full],
-    [shed_expired], [shed_draining], [shed_breaker], [breaker_state],
-    [breaker_trips], [unpersonalized_breaker].  Every data-plane request
-    the server ever saw is accounted: with [shed_draining] split into
-    its admission-time part [d_a] (rejected while draining) and its
-    stop-time part [d_s] (= {!drain_outcome}.[shed_at_stop], queued jobs
-    flushed when the drain deadline passed),
-    [arrivals = accepted + shed_queue_full + d_a] and
-    [accepted = completed_ok + completed_err + shed_expired + d_s +
-    queue_depth + in_flight].  [shed_breaker] counts [PROFILE SAVE]s
-    rejected because the breaker was open — those also appear in
-    [completed_err] (they were admitted, then refused). *)
+(** Request a stop, join the loop thread, return the drain outcome. *)

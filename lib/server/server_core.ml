@@ -136,6 +136,9 @@ module Make (R : Runtime.S) = struct
     mutable shed_draining : int;
     mutable shed_breaker : int;
     mutable unpersonalized_breaker : int;
+    (* Socket-level refusals: never admitted, so outside the ledger. *)
+    mutable refused_conn_limit : int;
+    mutable refused_line_too_long : int;
     (* Strict personalization sub-ledger: every completed PERSONALIZE
        reply is accounted exactly once on each side, so
        pers_ok + pers_err = cache_hit + cache_miss + cache_incremental
@@ -462,6 +465,8 @@ module Make (R : Runtime.S) = struct
           ("shed_expired", string_of_int t.c.shed_expired);
           ("shed_draining", string_of_int t.c.shed_draining);
           ("shed_breaker", string_of_int t.c.shed_breaker);
+          ("refused_conn_limit", string_of_int t.c.refused_conn_limit);
+          ("refused_line_too_long", string_of_int t.c.refused_line_too_long);
           ("breaker_state", Breaker.state_name (Breaker.state t.breaker));
           ("breaker_trips", string_of_int (Breaker.trips t.breaker));
           ("unpersonalized_breaker", string_of_int t.c.unpersonalized_breaker);
@@ -475,6 +480,13 @@ module Make (R : Runtime.S) = struct
           ("profile_lru_hit", string_of_int plru_stats.Profile_lru.hits);
           ("profile_lru_miss", string_of_int plru_stats.Profile_lru.misses);
         ])
+
+  let count_refusal t reason =
+    locked t.qm (fun () ->
+        match reason with
+        | `Conn_limit -> t.c.refused_conn_limit <- t.c.refused_conn_limit + 1
+        | `Line_too_long ->
+            t.c.refused_line_too_long <- t.c.refused_line_too_long + 1)
 
   (* ---------------------------- stop / drain ------------------------- *)
 
@@ -583,6 +595,8 @@ module Make (R : Runtime.S) = struct
             shed_expired = 0;
             shed_draining = 0;
             shed_breaker = 0;
+            refused_conn_limit = 0;
+            refused_line_too_long = 0;
             unpersonalized_breaker = 0;
             pers_ok = 0;
             pers_err = 0;

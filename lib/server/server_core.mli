@@ -6,11 +6,12 @@
     graceful drain with the strict HEALTH counter ledger — lives here,
     as a functor over the {!Runtime.S} concurrency substrate.
 
-    {!Server} instantiates it with {!Runtime.Threads} and adds the
-    Unix-socket/TCP front end; the deterministic simulation harness
-    ([Perso_sim]) instantiates it with a seeded cooperative scheduler
-    and a virtual clock, so the very same admission / drain / ledger
-    code paths replay bit-for-bit from a seed.
+    {!Server} instantiates it with the {!Evloop} runtime and adds the
+    Unix-socket/TCP front end; tests, benchmarks and replays drive it
+    in process with {!Runtime.Threads}; the deterministic simulation
+    harness ([Perso_sim]) instantiates it with a seeded cooperative
+    scheduler and a virtual clock, so the very same admission / drain /
+    ledger code paths replay bit-for-bit from a seed.
 
     Ledger invariants (audited by [test_server.ml] and [Perso_sim]):
     {ul
@@ -97,6 +98,12 @@ module Make (_ : Runtime.S) : sig
       until a worker answers the job's one-shot mailbox. *)
 
   val health : t -> (string * string) list
+
+  val count_refusal : t -> [ `Conn_limit | `Line_too_long ] -> unit
+  (** Count a socket-level refusal in HEALTH ([refused_conn_limit],
+      [refused_line_too_long]).  Refused clients never reach admission,
+      so these stand outside the ledger. *)
+
   val request_stop : t -> unit
   val stop_requested : t -> bool
   val begin_drain : t -> unit

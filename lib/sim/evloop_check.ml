@@ -5,8 +5,7 @@
    the same audits the Sched-based scenarios enforce: rwlock exclusion
    probed every scheduler step, the HEALTH ledger balancing exactly, and
    (since the loop is FIFO and the workload seeded) a byte-identical
-   rerun.  This is what lets `--io evloop` face a benchmark only after
-   the runtime has survived the sim. *)
+   rerun.  The serving runtime faces the sim before any socket. *)
 
 module Core = Perso_server.Server_core.Make (Perso_server.Evloop.R)
 module Evloop = Perso_server.Evloop

@@ -1,7 +1,7 @@
 (** Simulation leg for the event-loop runtime.
 
     Runs [Server_core.Make (Evloop.R)] — the exact core behind
-    [serve --io evloop] — on the event-loop scheduler's virtual clock
+    [perso_cli serve] — on the event-loop scheduler's virtual clock
     with a seeded client fleet, probing rwlock exclusion every scheduler
     step and auditing the HEALTH ledger equations after the drain; the
     run is then repeated and must reproduce field-for-field (the loop is

@@ -247,8 +247,8 @@ let test_sharded_hammer () =
   let socket = fresh_socket () in
   let cfg =
     {
-      (Server.default_config ~socket_path:socket) with
-      Server.workers = 3;
+      (Server_core.default_config ~socket_path:socket) with
+      Server_core.workers = 3;
       queue_capacity = 8;
       deadline_ms = Some 2_000.;
       shards;
@@ -257,7 +257,7 @@ let test_sharded_hammer () =
   let t = Server.start cfg db in
   Fun.protect
     ~finally:(fun () ->
-      ignore (Server.stop t : Server.drain_outcome);
+      ignore (Server.stop t : Server_core.drain_outcome);
       Relal.Chaos.disarm ())
   @@ fun () ->
   (* Worker systhreads race on the one ambient pool; losers fall back
@@ -327,7 +327,7 @@ let test_sharded_hammer () =
     + stat "cache_incremental" stats
     + stat "cache_bypass" stats);
   let outcome = Server.stop t in
-  Alcotest.(check bool) "drains clean" true outcome.Server.drained
+  Alcotest.(check bool) "drains clean" true outcome.Server_core.drained
 
 let () =
   Alcotest.run "par"

@@ -55,8 +55,8 @@ let test_wire_matches_inprocess () =
   let socket_path = fresh_socket () in
   let cfg =
     {
-      (Server.default_config ~socket_path) with
-      Server.workers = 2;
+      (Server_core.default_config ~socket_path) with
+      Server_core.workers = 2;
       deadline_ms = None;
       max_rows = budget.Relal.Governor.max_rows;
       max_expansions = budget.Relal.Governor.max_expansions;
@@ -64,7 +64,7 @@ let test_wire_matches_inprocess () =
   in
   let t = Server.start cfg db_server in
   Fun.protect
-    ~finally:(fun () -> ignore (Server.stop t : Server.drain_outcome))
+    ~finally:(fun () -> ignore (Server.stop t : Server_core.drain_outcome))
     (fun () ->
       let c = Client.connect ~wait_ms:2000. socket_path in
       Fun.protect

@@ -1,9 +1,10 @@
-(* The two I/O runtimes must be indistinguishable on the wire: an
-   identical request script against `--io threads` and `--io evloop`
-   (memory and disk backends) must produce byte-identical reply
-   transcripts — including the final HEALTH block, so every ledger
-   counter matches too.  Plus direct unit checks on the Evloop scheduler
-   under its virtual clock. *)
+(* The socket server must answer exactly as its core does in process:
+   an identical request script through a real socket and through
+   [Server_core.Make (Runtime.Threads)] driven directly (memory and disk
+   backends), rendered by the same {!Protocol} printers, must produce
+   byte-identical reply transcripts — including the final HEALTH block,
+   so every ledger counter matches too.  Plus direct unit checks on the
+   Evloop scheduler under its virtual clock. *)
 
 open Perso_server
 
@@ -161,7 +162,7 @@ let profile_wire db =
 (* A request is the full wire text (headers included).  The script mixes
    every command family, a cache hit, an identical re-save, a protocol
    error, and budget headers — all deterministic, so even the trailing
-   HEALTH counters must agree across runtimes. *)
+   HEALTH counters must agree between the socket and the core. *)
 let script db =
   let wire = profile_wire db in
   let sqls =
@@ -212,8 +213,8 @@ let mk_db () = Moviedb.Datagen.(generate (scale ~seed:7 120))
 
 let mk_cfg ~socket_path ~store_dir =
   {
-    (Server.default_config ~socket_path) with
-    Server.workers = 2;
+    (Server_core.default_config ~socket_path) with
+    Server_core.workers = 2;
     queue_capacity = 8;
     deadline_ms = None;
     shards = 2;
@@ -228,17 +229,52 @@ let with_store_dir backend f =
       Unix.mkdir dir 0o755;
       f (Some dir)
 
-let run_threads cfg db requests =
+let run_socket cfg db requests =
   let t = Server.start cfg db in
   Fun.protect
-    ~finally:(fun () -> ignore (Server.stop t : Server.drain_outcome))
-    (fun () -> transcript_of cfg.Server.socket_path requests)
+    ~finally:(fun () -> ignore (Server.stop t : Server_core.drain_outcome))
+    (fun () -> transcript_of cfg.Server_core.socket_path requests)
 
-let run_evloop (cfg : Server.config) db requests =
-  let t = Server_ev.start cfg db in
+module Core = Server_core.Make (Runtime.Threads)
+
+(* The in-process oracle: each request's lines parsed by the wire
+   grammar (budget headers, then one command line), the control plane
+   answered from the core directly, data commands submitted to it, and
+   every reply rendered by the {!Protocol} printers. *)
+let run_in_process cfg db requests =
+  let core = Core.create cfg db in
   Fun.protect
-    ~finally:(fun () -> ignore (Server_ev.stop t : Server_ev.drain_outcome))
-    (fun () -> transcript_of cfg.Server.socket_path requests)
+    ~finally:(fun () -> ignore (Core.stop core : Server_core.drain_outcome))
+    (fun () ->
+      let b = Buffer.create 4096 in
+      List.iter
+        (fun req ->
+          let hdr, cmd =
+            List.fold_left
+              (fun (hdr, cmd) line ->
+                let line = String.trim line in
+                match Protocol.parse_header_line line with
+                | Some update -> (update hdr, cmd)
+                | None -> (hdr, Some (Protocol.parse_command line)))
+              (Protocol.empty_header, None)
+              (String.split_on_char '\n' req)
+          in
+          match cmd with
+          | None -> Alcotest.failf "no command line in %S" req
+          | Some (Error msg) ->
+              Protocol.bprint_error b (Perso.Error.Parse ("protocol: " ^ msg))
+          | Some (Ok Protocol.Ping) -> Protocol.bprint_message b "pong"
+          | Some (Ok Protocol.Health) -> Protocol.bprint_stats b (Core.health core)
+          | Some (Ok (Protocol.Shutdown | Protocol.Quit)) ->
+              Alcotest.failf "not replayable: %S" req
+          | Some (Ok cmd) -> (
+              match Core.submit core hdr cmd with
+              | Server_core.R_rows { notes; result } ->
+                  Protocol.bprint_rows b ~notes result
+              | Server_core.R_message m -> Protocol.bprint_message b m
+              | Server_core.R_error e -> Protocol.bprint_error b e))
+        requests;
+      Buffer.contents b)
 
 (* Parse the trailing HEALTH block out of a transcript and audit the
    ledger: everything accepted is accounted, nothing is left queued. *)
@@ -268,32 +304,34 @@ let audit_ledger label transcript =
 
 let diff_backend backend () =
   let requests = script (mk_db ()) in
-  let t_threads =
+  let t_socket =
     with_store_dir backend (fun store_dir ->
         let cfg =
-          mk_cfg ~socket_path:(fresh_name "perso_io_t" ".sock") ~store_dir
+          mk_cfg ~socket_path:(fresh_name "perso_io_s" ".sock") ~store_dir
         in
-        run_threads cfg (mk_db ()) requests)
+        run_socket cfg (mk_db ()) requests)
   in
-  let t_evloop =
+  let t_local =
     with_store_dir backend (fun store_dir ->
         let cfg =
-          mk_cfg ~socket_path:(fresh_name "perso_io_e" ".sock") ~store_dir
+          mk_cfg ~socket_path:(fresh_name "perso_io_l" ".sock") ~store_dir
         in
-        run_evloop cfg (mk_db ()) requests)
+        run_in_process cfg (mk_db ()) requests)
   in
-  audit_ledger "threads" t_threads;
-  audit_ledger "evloop" t_evloop;
-  if not (String.equal t_threads t_evloop) then begin
+  audit_ledger "socket" t_socket;
+  audit_ledger "in-process" t_local;
+  if not (String.equal t_socket t_local) then begin
     (* Pinpoint the first differing line for the failure message. *)
-    let a = String.split_on_char '\n' t_threads
-    and b = String.split_on_char '\n' t_evloop in
+    let a = String.split_on_char '\n' t_socket
+    and b = String.split_on_char '\n' t_local in
     let rec first_diff i = function
       | x :: xs, y :: ys ->
           if String.equal x y then first_diff (i + 1) (xs, ys)
-          else Alcotest.failf "line %d differs:\n  threads: %s\n  evloop:  %s" i x y
-      | [], y :: _ -> Alcotest.failf "evloop has extra line %d: %s" i y
-      | x :: _, [] -> Alcotest.failf "threads has extra line %d: %s" i x
+          else
+            Alcotest.failf "line %d differs:\n  socket:     %s\n  in-process: %s"
+              i x y
+      | [], y :: _ -> Alcotest.failf "in-process has extra line %d: %s" i y
+      | x :: _, [] -> Alcotest.failf "socket has extra line %d: %s" i x
       | [], [] -> Alcotest.fail "transcripts differ but no line does?"
     in
     first_diff 0 (a, b)
@@ -376,9 +414,9 @@ let () =
         ] );
       ( "differential",
         [
-          Alcotest.test_case "threads = evloop (memory)" `Quick
+          Alcotest.test_case "socket = in-process (memory)" `Quick
             (diff_backend `Memory);
-          Alcotest.test_case "threads = evloop (disk)" `Quick
+          Alcotest.test_case "socket = in-process (disk)" `Quick
             (diff_backend `Disk);
         ] );
       ( "loadgen",

@@ -125,10 +125,10 @@ let with_server ?(movies = 0) cfg_of f =
     else Moviedb.Datagen.(generate (scale ~seed:7 movies))
   in
   let socket_path = fresh_socket () in
-  let t = Server.start (cfg_of (Server.default_config ~socket_path)) db in
+  let t = Server.start (cfg_of (Server_core.default_config ~socket_path)) db in
   Fun.protect
     ~finally:(fun () ->
-      ignore (Server.stop t : Server.drain_outcome);
+      ignore (Server.stop t : Server_core.drain_outcome);
       Relal.Chaos.disarm ())
     (fun () -> f t socket_path)
 
@@ -159,92 +159,103 @@ let slow_sql =
   "select count(*) as n from movie a, movie b, movie c, movie d, movie e, \
    movie f"
 
-(* Sequencing against observable server state instead of sleeps: the
-   control-plane HEALTH command answers even while every worker is
-   wedged, so tests wait for the queue/in-flight shape they need next
-   (>=, so a heavily loaded test host can only overshoot, not miss). *)
-let wait_for_stat socket name value =
-  let deadline = Unix.gettimeofday () +. 10. in
-  let rec go () =
-    if stat name (health_of socket) >= value then ()
-    else if Unix.gettimeofday () > deadline then
-      Alcotest.failf "timed out waiting for %s >= %d" name value
-    else begin
-      Thread.delay 0.01;
-      go ()
-    end
+(* Raw connections pipeline requests that a {!Client} would serialize.
+   The server has no preemption — a running query holds its loop until
+   it finishes — so tests sequence against what a connection has
+   already been answered instead of against sleeps or HEALTH polls. *)
+type raw = { fd : Unix.file_descr; ic : in_channel; oc : out_channel }
+
+let raw_send r text =
+  output_string r.oc (text ^ "\n");
+  flush r.oc
+
+let raw_reply r = Protocol.read_response r.ic
+let raw_close r = try Unix.close r.fd with Unix.Unix_error _ -> ()
+
+let expect_pong what = function
+  | Ok (Protocol.Message "pong") -> ()
+  | _ -> Alcotest.failf "%s: expected pong" what
+
+(* A connection the server has already served once: its task is parked
+   on the socket, so bytes sent on it later are read in the first loop
+   turn after whatever currently holds the loop. *)
+let ready_conn socket =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX socket);
+  let r =
+    { fd; ic = Unix.in_channel_of_descr fd; oc = Unix.out_channel_of_descr fd }
   in
-  go ()
+  raw_send r "PING";
+  expect_pong "ready_conn" (raw_reply r);
+  r
+
+(* Send PING and [request] in one write and wait for the pong.  The
+   server reads both lines at once and submits [request] right after
+   answering the PING, before it polls any socket again, so once the
+   pong is here the request is in flight on a worker. *)
+let start_in_flight r request =
+  output_string r.oc ("PING\n" ^ request ^ "\n");
+  flush r.oc;
+  expect_pong "start_in_flight" (raw_reply r)
+
+let overloaded_reply what = function
+  | Ok (Protocol.Failed { family; code; message }) ->
+      Alcotest.(check string) (what ^ ": family") "overloaded" family;
+      Alcotest.(check int) (what ^ ": overloaded exit code") 5 code;
+      Alcotest.(check bool) (what ^ ": message") true (String.length message > 0)
+  | Ok _ -> Alcotest.failf "%s: expected an overloaded shed, got a result" what
+  | Error e -> Alcotest.failf "%s: expected an overloaded shed, got %s" what e
 
 (* ---------------------------- admission ------------------------------ *)
+
+let contains hay needle =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
 
 let test_shed_and_expiry () =
   with_server ~movies:15
     (fun cfg ->
       {
         cfg with
-        Server.workers = 1;
+        Server_core.workers = 1;
         queue_capacity = 1;
         max_rows = None;
         max_expansions = None;
       })
     (fun _t socket ->
-      (* A occupies the single worker until its 800 ms deadline trips. *)
-      let result_a = ref (Error "unset") in
-      let ta =
-        Thread.create
-          (fun () ->
-            let c = Client.connect socket in
-            result_a := Client.request ~deadline_ms:800. c ("RUN " ^ slow_sql);
-            Client.close c)
-          ()
+      let z = ready_conn socket in
+      let abc = List.init 3 (fun _ -> ready_conn socket) in
+      (* Z holds the loop while three identical slow requests arrive, so
+         all three are read in one turn once it finishes.  Each computes
+         its deadline on arrival.  The first to submit occupies the
+         single worker until its 400 ms deadline trips; the second takes
+         the only queue slot and its deadline expires there; the third
+         finds the queue full.  Which connection plays which part is up
+         to the loop, the three outcomes are not. *)
+      start_in_flight z ("DEADLINE-MS 300\nRUN " ^ slow_sql);
+      List.iter (fun r -> raw_send r ("DEADLINE-MS 400\nRUN " ^ slow_sql)) abc;
+      let outcome what = function
+        | Ok (Protocol.Failed { family = "resource-exhausted"; _ })
+        | Ok (Protocol.Rows _) (* finished within budget *) ->
+            "ran"
+        | Ok (Protocol.Failed { family = "overloaded"; code = 5; message })
+          when contains message "expired while queued" ->
+            "expired"
+        | Ok (Protocol.Failed { family = "overloaded"; code = 5; message })
+          when contains message "queue full" ->
+            "queue-full"
+        | Ok (Protocol.Failed { message; _ }) ->
+            Alcotest.failf "%s: unexpected error %s" what message
+        | Ok _ -> Alcotest.failf "%s: wrong reply shape" what
+        | Error e -> Alcotest.failf "%s: %s" what e
       in
-      wait_for_stat socket "in_flight" 1;
-      (* B fills the only queue slot; its 10 ms deadline will have
-         expired long before the worker frees up. *)
-      let result_b = ref (Error "unset") in
-      let tb =
-        Thread.create
-          (fun () ->
-            let c = Client.connect socket in
-            result_b := Client.request ~deadline_ms:10. c ("RUN " ^ slow_sql);
-            Client.close c)
-          ()
-      in
-      wait_for_stat socket "queue_depth" 1;
-      (* C finds the queue full: immediate typed rejection. *)
-      let c = Client.connect socket in
-      (match Client.request c "RUN select count(*) as n from movie m" with
-      | Ok (Protocol.Failed { family; code; _ }) ->
-          Alcotest.(check string) "queue-full family" "overloaded" family;
-          Alcotest.(check int) "overloaded exit code" 5 code
-      | other ->
-          Alcotest.failf "expected queue-full shedding, got %s"
-            (match other with
-            | Ok _ -> "a result"
-            | Error e -> e));
-      Client.close c;
-      Thread.join ta;
-      Thread.join tb;
-      (match !result_a with
-      | Ok (Protocol.Failed { family = "resource-exhausted"; _ }) -> ()
-      | Ok (Protocol.Rows _) -> ()  (* finished within budget *)
-      | other ->
-          Alcotest.failf "A should finish or exhaust, got %s"
-            (match other with
-            | Ok (Protocol.Failed { message; _ }) -> message
-            | Error e -> e
-            | _ -> "wrong shape"));
-      (match !result_b with
-      | Ok (Protocol.Failed { family = "overloaded"; message; _ }) ->
-          Alcotest.(check bool) "names queue expiry" true
-            (String.length message > 0)
-      | other ->
-          Alcotest.failf "B should be shed as expired, got %s"
-            (match other with
-            | Ok (Protocol.Failed { message; _ }) -> message
-            | Error e -> e
-            | _ -> "wrong shape"));
+      Alcotest.(check string) "Z ran" "ran" (outcome "Z" (raw_reply z));
+      Alcotest.(check (list string))
+        "one ran, one expired in the queue, one found it full"
+        [ "expired"; "queue-full"; "ran" ]
+        (List.sort compare (List.map (fun r -> outcome "A/B/C" (raw_reply r)) abc));
+      List.iter raw_close (z :: abc);
       let stats = health_of socket in
       Alcotest.(check int) "one queue-full shed" 1 (stat "shed_queue_full" stats);
       Alcotest.(check int) "one expiry shed" 1 (stat "shed_expired" stats))
@@ -252,7 +263,7 @@ let test_shed_and_expiry () =
 let test_budget_capped_by_server () =
   with_server ~movies:120
     (fun cfg ->
-      { cfg with Server.max_rows = Some 50; deadline_ms = None;
+      { cfg with Server_core.max_rows = Some 50; deadline_ms = None;
         max_expansions = None })
     (fun _t socket ->
       let c = Client.connect socket in
@@ -282,7 +293,7 @@ let request_exn c ?deadline_ms cmd =
 let test_breaker_serves_unpersonalized () =
   with_server
     (fun cfg ->
-      { cfg with Server.breaker_threshold = 2; breaker_cooldown_ms = 300. })
+      { cfg with Server_core.breaker_threshold = 2; breaker_cooldown_ms = 300. })
     (fun _t socket ->
       let c = Client.connect socket in
       Fun.protect
@@ -351,56 +362,45 @@ let test_graceful_drain () =
     (fun cfg ->
       {
         cfg with
-        Server.workers = 2;
+        Server_core.workers = 2;
         drain_ms = 5_000.;
         max_rows = None;
         max_expansions = None;
       })
     (fun t socket ->
       (* Slow requests in flight, then a drain: they must still get
-         answers (or a typed shed), and new work must be refused.  Only
-         one request needs to be *observed* in flight before the stop —
-         waiting for both races against their own completion when the
-         test host is loaded. *)
-      let results = Array.make 2 (Error "unset") in
-      let threads =
-        Array.to_list
-          (Array.init 2 (fun i ->
-               Thread.create
-                 (fun () ->
-                   let c = Client.connect socket in
-                   results.(i) <-
-                     Client.request ~deadline_ms:600. c ("RUN " ^ slow_sql);
-                   Client.close c)
-                 ()))
-      in
-      wait_for_stat socket "in_flight" 1;
+         answers (or a typed shed), and new work must be refused.  R1 is
+         in flight once its pipelined PING is answered; R2, the stop,
+         a HEALTH probe and new work all arrive while R1 holds the
+         loop, so the server sees them in its first turn after R1. *)
+      let r1 = ready_conn socket and r2 = ready_conn socket in
+      let probe = ready_conn socket and late = ready_conn socket in
+      start_in_flight r1 ("DEADLINE-MS 600\nRUN " ^ slow_sql);
+      raw_send r2 ("DEADLINE-MS 600\nRUN " ^ slow_sql);
       Server.request_stop t;
-      let deadline = Unix.gettimeofday () +. 10. in
-      while
-        List.assoc "state" (health_of socket) <> "draining"
-        && Unix.gettimeofday () < deadline
-      do
-        Thread.delay 0.01
-      done;
-      (* Admission is closed while draining — but the control plane and
-         the drain itself keep working. *)
-      let c = Client.connect socket in
-      (match Client.request c "RUN select count(*) as n from movie m" with
-      | Ok (Protocol.Failed { family = "overloaded"; _ }) -> ()
-      | _ -> Alcotest.fail "draining server must shed new work");
-      Client.close c;
-      List.iter Thread.join threads;
-      Array.iter
+      raw_send probe "HEALTH";
+      raw_send late "RUN select count(*) as n from movie m";
+      List.iter
         (fun r ->
-          match r with
+          match raw_reply r with
           | Ok (Protocol.Rows _) | Ok (Protocol.Failed _) -> ()
           | _ -> Alcotest.fail "in-flight request lost during drain")
-        results;
+        [ r1; r2 ];
+      (* Admission is closed while draining — but the control plane and
+         the drain itself keep working. *)
+      (match raw_reply probe with
+      | Ok (Protocol.Stats stats) ->
+          Alcotest.(check string) "HEALTH while draining" "draining"
+            (List.assoc "state" stats)
+      | _ -> Alcotest.fail "HEALTH must answer during the drain");
+      (match raw_reply late with
+      | Ok (Protocol.Failed { family = "overloaded"; _ }) -> ()
+      | _ -> Alcotest.fail "draining server must shed new work");
+      List.iter raw_close [ r1; r2; probe; late ];
       let outcome = Server.stop t in
       Alcotest.(check bool) "drained within deadline" true
-        outcome.Server.drained;
-      Alcotest.(check int) "nothing abandoned" 0 outcome.Server.shed_at_stop)
+        outcome.Server_core.drained;
+      Alcotest.(check int) "nothing abandoned" 0 outcome.Server_core.shed_at_stop)
 
 (* ------------------------------- hammer ------------------------------ *)
 
@@ -414,7 +414,7 @@ let test_hammer () =
     (fun cfg ->
       {
         cfg with
-        Server.workers = 3;
+        Server_core.workers = 3;
         queue_capacity = 4;
         deadline_ms = Some 2_000.;
         breaker_threshold = 3;
@@ -496,7 +496,95 @@ let test_hammer () =
         (stat "completed_ok" stats);
       let outcome = Server.stop t in
       Alcotest.(check bool) "drains clean after the hammer" true
-        outcome.Server.drained)
+        outcome.Server_core.drained)
+
+(* --------------------------- hostile clients ------------------------- *)
+
+(* More connections than the server serves at once, all opened from
+   this thread.  Each one is either answered or refused at accept with
+   a typed overloaded line; the refusals are counted in HEALTH and the
+   server keeps serving.  (In process, the clients' own fds push the
+   server's past select's FD_SETSIZE early, so refusals start before
+   the count cap.) *)
+let test_connection_cap () =
+  with_server (fun cfg -> cfg) (fun _t socket ->
+      let probe = ready_conn socket in
+      let n = Server.max_connections + 100 in
+      let conns =
+        List.init n (fun _ ->
+            let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+            Unix.connect fd (Unix.ADDR_UNIX socket);
+            {
+              fd;
+              ic = Unix.in_channel_of_descr fd;
+              oc = Unix.out_channel_of_descr fd;
+            })
+      in
+      let refused =
+        List.fold_left
+          (fun refused r ->
+            (* A refused connection is already closed: the write may
+               fail, its refusal line is still there to read. *)
+            (try raw_send r "PING" with Sys_error _ -> ());
+            match raw_reply r with
+            | Ok (Protocol.Message "pong") -> refused
+            | reply ->
+                overloaded_reply "refused connection" reply;
+                refused + 1)
+          0 conns
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "at least the excess refused (%d of %d)" refused n)
+        true
+        (refused >= n - Server.max_connections);
+      List.iter raw_close conns;
+      raw_send probe "HEALTH";
+      (match raw_reply probe with
+      | Ok (Protocol.Stats stats) ->
+          Alcotest.(check int) "refusals counted" refused
+            (stat "refused_conn_limit" stats)
+      | _ -> Alcotest.fail "HEALTH failed after the flood");
+      raw_close probe;
+      let c = Client.connect socket in
+      expect_pong "after the flood" (Client.request c "PING");
+      Client.close c)
+
+(* A line that never ends is cut off at Protocol.max_line_bytes with a
+   typed error and a close, while other connections are served. *)
+let test_overlong_line () =
+  with_server (fun cfg -> cfg) (fun _t socket ->
+      let giant = ready_conn socket and other = ready_conn socket in
+      (* A line split across writes is reassembled. *)
+      output_string giant.oc "PI";
+      flush giant.oc;
+      raw_send giant "NG";
+      expect_pong "split line" (raw_reply giant);
+      let half = Protocol.max_line_bytes / 2 in
+      output_string giant.oc (String.make half 'x');
+      flush giant.oc;
+      raw_send other "PING";
+      expect_pong "second connection during the long line" (raw_reply other);
+      (try
+         output_string giant.oc
+           (String.make (Protocol.max_line_bytes - half + 1) 'x');
+         flush giant.oc
+       with Sys_error _ -> ());
+      (match raw_reply giant with
+      | Ok (Protocol.Failed { family = "parse"; code = 1; message }) ->
+          Alcotest.(check bool) ("names the limit: " ^ message) true
+            (String.length message > 0)
+      | _ -> Alcotest.fail "expected a typed parse error for the long line");
+      (match raw_reply giant with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail "the long line's connection must be closed");
+      raw_close giant;
+      raw_send other "HEALTH";
+      (match raw_reply other with
+      | Ok (Protocol.Stats stats) ->
+          Alcotest.(check int) "long line counted" 1
+            (stat "refused_line_too_long" stats)
+      | _ -> Alcotest.fail "HEALTH failed");
+      raw_close other)
 
 (* ------------------------ durable store parity ----------------------- *)
 
@@ -555,7 +643,7 @@ let test_disk_memory_differential () =
      the memory backend, and the saved state survives a restart. *)
   let mem =
     with_server
-      (fun cfg -> { cfg with Server.shards = 2 })
+      (fun cfg -> { cfg with Server_core.shards = 2 })
       (fun _t socket -> run_script socket parity_script)
   in
   let root = fresh_store_root () in
@@ -563,7 +651,7 @@ let test_disk_memory_differential () =
   @@ fun () ->
   let dsk =
     with_server
-      (fun cfg -> { cfg with Server.shards = 2; store_dir = Some root })
+      (fun cfg -> { cfg with Server_core.shards = 2; store_dir = Some root })
       (fun _t socket -> run_script socket parity_script)
   in
   List.iter2
@@ -574,7 +662,7 @@ let test_disk_memory_differential () =
      gone with its process. *)
   let after_restart =
     with_server
-      (fun cfg -> { cfg with Server.shards = 2; store_dir = Some root })
+      (fun cfg -> { cfg with Server_core.shards = 2; store_dir = Some root })
       (fun _t socket ->
         run_script socket [ "PROFILE LOAD julie"; "PERSONALIZE julie " ^ pers_sql ])
   in
@@ -615,6 +703,13 @@ let () =
       ( "hammer",
         [ Alcotest.test_case "mixed load under 5% faults" `Quick test_hammer ]
       );
+      ( "hostile-clients",
+        [
+          Alcotest.test_case "connection cap: typed refusal" `Quick
+            test_connection_cap;
+          Alcotest.test_case "over-long line: typed error" `Quick
+            test_overlong_line;
+        ] );
       ( "durable-store",
         [
           Alcotest.test_case "memory/disk parity + restart" `Quick
