@@ -1,17 +1,20 @@
 # Developer entry points.  `make check` is the PR gate: full build, the
-# whole test suite, the seeded chaos run, and a quick-scale smoke run of
-# the executor benchmark that must exit 0 and leave valid JSON behind.
+# whole test suite, the seeded chaos run, quick-scale smoke runs of the
+# executor benchmarks that must exit 0 and leave valid JSON behind, and
+# one short run of each serve-benchmark workload.
 
 BENCH_JSON := /tmp/bench_exec_smoke.json
 BENCH_PERSO_JSON := /tmp/bench_perso_smoke.json
 BENCH_STORE_JSON := /tmp/bench_store_smoke.json
 BENCH_SERVE_JSON := /tmp/bench_serve_smoke.json
+PERFBENCH_SAVE_OUT := /tmp/perfbench_save_mix_smoke.out
+PERFBENCH_COLD_OUT := /tmp/perfbench_cold_wide_smoke.out
 CHAOS_SEED ?= 1337
 
 SIM_SEED ?= 42
 SIM_RUNS ?= 8
 
-.PHONY: all build test bench bench-par bench-serve chaos crash-recovery scrub-sweep serve-smoke sim check clean
+.PHONY: all build test bench bench-par bench-serve perfbench-smoke chaos crash-recovery scrub-sweep serve-smoke sim check clean
 
 all: build
 
@@ -96,7 +99,23 @@ bench-serve: build
 	sys.exit(0 if ok else sys.stderr.write('bench-serve: failed sanity\n') or 1); \
 	" && echo "bench-serve: OK (see $(BENCH_SERVE_JSON))"
 
-check: build test chaos crash-recovery scrub-sweep serve-smoke sim bench-par bench-serve
+# The serve benchmark (perfbench/run.py) on both workloads: save-mix
+# traced (its per-layer replay and trace gates run too), cold-wide
+# untraced.  Each run's last stdout line is its JSON result; the gate is
+# that it parses and reports "correct": true (answers, HEALTH ledger and
+# trace counts all agreed), never a latency or throughput figure.
+PERFBENCH_CORRECT = python3 -c "import json,sys; \
+	r=json.loads(open(sys.argv[1]).read().strip().splitlines()[-1]); \
+	sys.exit(0 if r.get('correct') is True else sys.stderr.write('perfbench-smoke: %s: not correct\n' % sys.argv[1]) or 1)"
+
+perfbench-smoke: build
+	python3 perfbench/run.py --workload save-mix --seed 1 --seconds 10 --trace 1 > $(PERFBENCH_SAVE_OUT)
+	@$(PERFBENCH_CORRECT) $(PERFBENCH_SAVE_OUT)
+	python3 perfbench/run.py --workload cold-wide --seed 1 --seconds 10 --trace 0 > $(PERFBENCH_COLD_OUT)
+	@$(PERFBENCH_CORRECT) $(PERFBENCH_COLD_OUT)
+	@echo "perfbench-smoke: OK ($(PERFBENCH_SAVE_OUT), $(PERFBENCH_COLD_OUT))"
+
+check: build test chaos crash-recovery scrub-sweep serve-smoke sim bench-par bench-serve perfbench-smoke
 	BENCH_SCALE=quick BENCH_PERSO_OUT=$(BENCH_PERSO_JSON) dune exec bench/main.exe -- perso
 	python3 -m json.tool $(BENCH_PERSO_JSON) > /dev/null
 	@python3 -c "import json,sys; d=json.load(open('$(BENCH_PERSO_JSON)')); s=d['speedup_warm']; sys.exit(0 if s >= 5 else sys.stderr.write('plan cache: warm speedup %.1fx < 5x\n' % s) or 1)"

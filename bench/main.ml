@@ -42,6 +42,20 @@ let avg = function
 
 let pct x = 100. *. x
 
+(* The checkout's git revision ("-dirty" when the tree has edits), for
+   the trajectory fields of the JSON files; "unknown" outside git. *)
+let git_rev () =
+  match
+    let ic =
+      Unix.open_process_args_in "git"
+        [| "git"; "describe"; "--always"; "--dirty" |]
+    in
+    let out = In_channel.input_all ic in
+    (Unix.close_process_in ic, out)
+  with
+  | Unix.WEXITED 0, out -> String.trim out
+  | _ | (exception Unix.Unix_error _) -> "unknown"
+
 (* --------------------------------------------------------------------- *)
 (* Shared setup                                                          *)
 (* --------------------------------------------------------------------- *)
@@ -534,44 +548,6 @@ let ablation_index () =
   Printf.printf "%-28s %12.3f\n%!" "hash joins over scans" (run_suite without_idx);
   Printf.printf "%-28s %12.3f\n%!" "index paths + INLJ" (run_suite with_idx)
 
-(* Ablation 4: greedy (smallest input) vs cost-based (estimated output)
-   join ordering on the personalized-query workload. *)
-let ablation_planner () =
-  let db = Lazy.force db in
-  let stats = Relal.Stats.create db in
-  (* Warm the statistics cache outside the timed region. *)
-  List.iter
-    (fun t ->
-      ignore
-        (Relal.Stats.ndv stats
-           (Relal.Schema.name (Relal.Table.schema t))
-           (Relal.Schema.columns (Relal.Table.schema t)).(0).Relal.Schema.cname))
-    (Relal.Database.tables db);
-  let profile = profile_for ~seed:9400 ~size:30 in
-  let queries = queries_for 208 (2 * scale.queries) in
-  let run strategy =
-    let samples =
-      List.map
-        (fun q ->
-          let bound = Relal.Binder.bind db q in
-          let qg = Qgraph.of_query db bound in
-          let g = Pgraph.of_profile profile in
-          let selected = Select.select db g qg (Criteria.Top_r 10) in
-          let insts = Integrate.instantiate db qg selected in
-          let mq =
-            Integrate.mq ~rank:false db qg ~mandatory:[] ~optional:insts
-              ~l:(`At_least (min 1 (List.length insts))) ()
-          in
-          snd (time (fun () -> Relal.Exec.run ~strategy ~stats db mq)))
-        queries
-    in
-    avg samples
-  in
-  Printf.printf "\n## Ablation — join ordering (MQ execution, K=10, L=1)\n";
-  Printf.printf "%-36s %12s\n" "strategy" "exec_ms";
-  Printf.printf "%-36s %12.3f\n%!" "greedy (smallest input)" (run `Auto);
-  Printf.printf "%-36s %12.3f\n%!" "cost-based (estimated join output)" (run `Cost)
-
 (* --------------------------------------------------------------------- *)
 (* Executor benchmark — machine-readable baseline (BENCH_EXEC.json)      *)
 (* --------------------------------------------------------------------- *)
@@ -800,20 +776,14 @@ let bench_exec () =
 (* Cold / warm / edited personalization cost under a Zipf-skewed
    (user, query-template) workload.  Personalization only — no query
    execution — since the cache saves the pipeline, not the executor.
-   Four passes over the same request sequence:
+   Three passes over the same request sequence:
 
      cold         every request runs the full §4 pipeline, no cache
      warm         a primed {!Perso.Perso_cache}; every request hits
-     invalidate   primed cache with the patcher OFF, but every 10th
-                  request first retunes one of that user's selections
-                  and saves it to {!Perso.Profile_store} — consults
-                  after an edit recompute cold
-     incremental  the same edit sequence with the patcher ON — consults
-                  after an edit are spliced when provably sound
-
-   The two edited passes replay the identical edit sequence from the
-   same starting profiles (snapshot/restore + a dedicated edit RNG), so
-   invalidate vs incremental isolates exactly the patcher's effect.
+     invalidate   a primed cache, but every 10th request first retunes
+                  one of that user's selections and saves it to
+                  {!Perso.Profile_store} — consults after an edit
+                  recompute cold
 
    Writes BENCH_PERSO.json (override with BENCH_PERSO_OUT); `make check`
    gates on warm being >= 5x faster than cold. *)
@@ -847,9 +817,8 @@ let bench_perso () =
     List.init n_req (fun _ ->
         (Putil.Zipf.sample zu rng, Putil.Zipf.sample zt rng))
   in
-  (* K above the profiles' related-path count: the donor top-K is not
-     cut off, so single-selection retunes take the patcher's rescale
-     fast path (a full top-K forces its sound cold fallback). *)
+  (* K above the profiles' related-path count: every related path is
+     selected, so a retune changes the plan without moving the cutoff. *)
   let params = { Personalize.default_params with k = Criteria.top_r 50 } in
   let pass ?cache ?erng ?(edit_every = 0) () =
     (* One sweep over [reqs]; returns total ms inside personalization. *)
@@ -891,28 +860,6 @@ let bench_perso () =
         acc +. ms)
       0. reqs
   in
-  let snapshot = Array.map (fun p -> !p) profiles in
-  let restore () =
-    Array.iteri
-      (fun i p ->
-        p := snapshot.(i);
-        Profile_store.save pdb ~user:users.(i) snapshot.(i))
-      profiles
-  in
-  (* One edited pass: restore profiles, prime a fresh cache, then replay
-     the edit sequence.  Returns (ms, hits, patched, cold). *)
-  let edited ~incremental () =
-    restore ();
-    let c = Perso_cache.create ~incremental pdb in
-    ignore (pass ~cache:c () : float) (* prime *);
-    let st0 = Perso_cache.stats c in
-    let ms = pass ~cache:c ~erng:(Putil.Rng.create 777) ~edit_every:10 () in
-    let st1 = Perso_cache.stats c in
-    ( ms,
-      st1.Perso_cache.hits - st0.Perso_cache.hits,
-      st1.Perso_cache.incremental - st0.Perso_cache.incremental,
-      st1.Perso_cache.misses - st0.Perso_cache.misses )
-  in
   let ms_cold = pass () in
   let warm_cache = Perso_cache.create pdb in
   ignore (pass ~cache:warm_cache () : float) (* prime *);
@@ -920,11 +867,18 @@ let bench_perso () =
   let ms_warm = pass ~cache:warm_cache () in
   let warm_st = Perso_cache.stats warm_cache in
   let warm_hits = warm_st.Perso_cache.hits - warm_st0.Perso_cache.hits in
-  let ms_inv, inv_hits, _, inv_cold = edited ~incremental:false () in
-  let ms_inc, inc_hits, inc_patched, inc_cold = edited ~incremental:true () in
+  (* The edited pass: prime a fresh cache, then replay the edits. *)
+  let inv_cache = Perso_cache.create pdb in
+  ignore (pass ~cache:inv_cache () : float) (* prime *);
+  let inv_st0 = Perso_cache.stats inv_cache in
+  let ms_inv =
+    pass ~cache:inv_cache ~erng:(Putil.Rng.create 777) ~edit_every:10 ()
+  in
+  let inv_st = Perso_cache.stats inv_cache in
+  let inv_hits = inv_st.Perso_cache.hits - inv_st0.Perso_cache.hits in
+  let inv_cold = inv_st.Perso_cache.misses - inv_st0.Perso_cache.misses in
   let per ms = ms /. float_of_int n_req in
   let speedup_warm = per ms_cold /. per ms_warm in
-  let speedup_inc = per ms_inv /. per ms_inc in
   Printf.printf
     "\n## Plan cache (%d movies, %d users x %d templates, %d requests, Zipf \
      s=1.1)\n"
@@ -936,12 +890,7 @@ let bench_perso () =
     (Printf.sprintf "%d hits" warm_hits);
   Printf.printf "%-12s %12.3f %14.4f %30s\n" "invalidate" ms_inv (per ms_inv)
     (Printf.sprintf "%d hits, %d cold" inv_hits inv_cold);
-  Printf.printf "%-12s %12.3f %14.4f %30s\n%!" "incremental" ms_inc (per ms_inc)
-    (Printf.sprintf "%d hits, %d patched, %d cold" inc_hits inc_patched
-       inc_cold);
-  Printf.printf "# speedup: warm %.1fx vs cold, incremental %.2fx vs \
-                 invalidate\n%!"
-    speedup_warm speedup_inc;
+  Printf.printf "# speedup: warm %.1fx vs cold\n%!" speedup_warm;
   let path =
     Option.value ~default:"BENCH_PERSO.json" (Sys.getenv_opt "BENCH_PERSO_OUT")
   in
@@ -949,14 +898,18 @@ let bench_perso () =
   Printf.fprintf oc
     "{\n\
     \  \"bench\": \"perso\",\n\
+    \  \"rev\": %S,\n\
     \  \"scale\": %S,\n\
+    \  \"cores\": %d,\n\
     \  \"movies\": %d,\n\
     \  \"users\": %d,\n\
     \  \"templates\": %d,\n\
     \  \"requests\": %d,\n\
     \  \"zipf_s\": 1.1,\n\
     \  \"modes\": [\n"
-    scale.label movies n_users n_templates n_req;
+    (git_rev ()) scale.label
+    (Domain.recommended_domain_count ())
+    movies n_users n_templates n_req;
   Printf.fprintf oc
     "    {\"name\": \"cold\", \"ms_total\": %.3f, \"ms_per_query\": %.4f},\n"
     ms_cold (per ms_cold);
@@ -966,15 +919,9 @@ let bench_perso () =
     ms_warm (per ms_warm) warm_hits;
   Printf.fprintf oc
     "    {\"name\": \"invalidate\", \"ms_total\": %.3f, \"ms_per_query\": \
-     %.4f, \"hits\": %d, \"misses\": %d},\n"
+     %.4f, \"hits\": %d, \"misses\": %d}\n"
     ms_inv (per ms_inv) inv_hits inv_cold;
-  Printf.fprintf oc
-    "    {\"name\": \"incremental\", \"ms_total\": %.3f, \"ms_per_query\": \
-     %.4f, \"hits\": %d, \"incremental\": %d, \"misses\": %d}\n"
-    ms_inc (per ms_inc) inc_hits inc_patched inc_cold;
-  Printf.fprintf oc
-    "  ],\n  \"speedup_warm\": %.2f,\n  \"speedup_incremental\": %.2f\n}\n"
-    speedup_warm speedup_inc;
+  Printf.fprintf oc "  ],\n  \"speedup_warm\": %.2f\n}\n" speedup_warm;
   close_out oc;
   Printf.printf "# wrote %s\n%!" path
 
@@ -1302,7 +1249,7 @@ let all_figs =
     ("fig8", fig8); ("fig9", fig9); ("fig10", fig10); ("exec", bench_exec);
     ("perso", bench_perso); ("kernels", kernels);
     ("ablation-funcs", ablation_funcs); ("ablation-topn", ablation_topn);
-    ("ablation-index", ablation_index); ("ablation-planner", ablation_planner);
+    ("ablation-index", ablation_index);
     ("store", bench_store); ("serve", bench_serve);
   ]
 

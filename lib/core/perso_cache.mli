@@ -1,6 +1,4 @@
-(** Keyed cache of compiled personalization outcomes, with an
-    incremental re-personalization path for single-preference profile
-    edits.
+(** Keyed cache of compiled personalization outcomes.
 
     Every PERSONALIZE request otherwise redoes the whole §4 pipeline —
     personalization-graph traversal, top-K preference selection,
@@ -12,26 +10,12 @@
 
     where the template is {!Relal.Sql_print.query_to_key} applied to
     the {e bound} AST.  Entry validity is carried by the user's
-    {!Profile_store.revision}: a stored entry remembers the revision
-    (and profile snapshot) it was computed under, so a profile mutation
-    invalidates all the user's entries implicitly — no key enumeration
-    — while keeping the stale outcome available as a donor for
-    patching.
-
-    {b Incremental re-personalization} (Chomicki's query-modification
-    frame, PAPERS.md): when the profile diff against the donor snapshot
-    is a single atomic {e selection} add / remove / retune, the cached
-    top-K frontier is patched — the affected selection's paths are
-    spliced out and/or recomputed by a bounded re-expansion restricted
-    to that selection, merged by degree — and the outcome rebuilt via
-    {!Personalize.integrate_selected}, skipping the full graph
-    traversal.  The patch is applied only when provably equivalent to a
-    cold run (criterion is [Top_r], no relatedness filter, no
-    cross-list degree ties that would make FIFO tie-breaking
-    unknowable, no cut-off frontier hiding successors); anything else
-    falls back to a cold run.  Warm and incremental outputs are
-    byte-identical to cold ones — enforced by the oracle relation in
-    [lib/sim/oracle.ml].
+    {!Profile_store.revision}: a stored entry remembers the revision it
+    was computed under and is served only while that is still the
+    user's current one.  A profile mutation (save or delete) drops all
+    of the user's entries; the next consult recomputes cold.  Cached
+    outputs are byte-identical to cold ones — enforced by the oracle
+    relation in [lib/sim/oracle.ml].
 
     The cache is a bounded LRU with approximate byte accounting — a
     cheap typed structural estimate ({!Size_est}, pinned within 2× of
@@ -51,13 +35,14 @@ type t
 
 type source =
   | Hit  (** served unchanged from a fresh entry *)
-  | Incremental  (** patched from a stale entry's outcome *)
   | Miss  (** computed cold (and stored) *)
   | Bypass  (** cache not consulted *)
 
 type stats = {
   hits : int;
   incremental : int;
+      (** always 0; kept only because the serve benchmark's traced run
+          reads it *)
   misses : int;
   bypasses : int;  (** only counted by {!personalize_sql_r} *)
   evictions : int;  (** entries dropped by the LRU bound *)
@@ -70,16 +55,12 @@ val create :
   ?lock:locker ->
   ?max_entries:int ->
   ?max_bytes:int ->
-  ?incremental:bool ->
   ?store_db:Relal.Database.t ->
   Relal.Database.t ->
   t
 (** A cache over [db], subscribed to {!Profile_store} mutation events
-    against it ([save] stales the user's entries in place;
-    [delete] drops them).  Defaults: [max_entries = 512],
-    [max_bytes = 32 MiB], [incremental = true] ([false] disables the
-    patch path — stale entries then always recompute cold, which the
-    oracle uses as the plain-cached control).
+    against it ([save] and [delete] drop the user's entries).  Defaults:
+    [max_entries = 512], [max_bytes = 32 MiB].
 
     [store_db] (default [db]) is where profiles, revisions, and
     mutation events live: a sharded server binds each shard's cache to
@@ -101,8 +82,8 @@ val personalize :
     current revision is read from {!Profile_store.revision} unless
     [revision] overrides it (the REPL keys its session-local, never
     stored profile this way).  A [Hit] returns the cached outcome
-    (including the donor run's [selection_stats]); [gov] meters only
-    cold and patch computation.  Raises exactly as [personalize] does
+    (including the cold run's [selection_stats]); [gov] meters only
+    cold computation.  Raises exactly as [personalize] does
     (nothing is cached on a raise). *)
 
 val personalize_sql_r :

@@ -55,8 +55,7 @@ let personalize ?(params = default_params) ?related ?gov db profile q =
   let selected = Select.select ~stats ?gov ?related db g qg params.k in
   integrate_selected ~params db qg ~stats selected
 
-let execute ?strategy ?gov db outcome =
-  Engine.run_query ?strategy ?gov db outcome.personalized
+let execute ?gov db outcome = Engine.run_query ?gov db outcome.personalized
 
 let personalize_sql ?params db profile sql =
   let q = Sql_parser.parse sql in
@@ -178,8 +177,8 @@ let degradation_to_string = function
   | Unpersonalized { cause } ->
       "dropped personalization after " ^ Error.to_string cause
 
-let top_n ?strategy ~n db outcome =
-  let res = execute ?strategy db outcome in
+let top_n ~n db outcome =
+  let res = execute db outcome in
   { res with Exec.rows = List.filteri (fun i _ -> i < n) res.Exec.rows }
 
 module Context = struct

@@ -41,9 +41,8 @@ val integrate_selected :
   outcome
 (** The integration half of {!personalize}: instantiate the given
     selected paths against the query graph, split mandatory/optional,
-    and build the rewritten query.  Exposed so {!Perso_cache}'s
-    incremental path can rebuild an outcome from a patched [P_K]
-    without re-running preference selection; given equal [selected],
+    and build the rewritten query.  Exposed so {!Perso_cache} can reuse
+    the query graph it bound to build its key; given equal [selected],
     the resulting [personalized] query is byte-identical to a cold
     {!personalize} run. *)
 
@@ -67,7 +66,6 @@ val personalize :
     budget runs out. *)
 
 val execute :
-  ?strategy:[ `Auto | `Naive | `Cost ] ->
   ?gov:Relal.Governor.t ->
   Relal.Database.t ->
   outcome ->
@@ -154,7 +152,6 @@ val degradation_to_string : degradation -> string
     2, L: 0) after resource exhausted: ..."]. *)
 
 val top_n :
-  ?strategy:[ `Auto | `Naive | `Cost ] ->
   n:int ->
   Relal.Database.t ->
   outcome ->

@@ -1,5 +1,5 @@
-let run_query ?strategy ?gov db q = Exec.run ?strategy ?gov db (Binder.bind db q)
+let run_query ?gov db q = Exec.run ?gov db (Binder.bind db q)
 
-let run_sql ?strategy ?gov db sql = run_query ?strategy ?gov db (Sql_parser.parse sql)
+let run_sql ?gov db sql = run_query ?gov db (Sql_parser.parse sql)
 
 let explain db q = Sql_print.query_to_pretty (Binder.bind db q)

@@ -5,7 +5,6 @@
     pre-bound query. *)
 
 val run_sql :
-  ?strategy:[ `Auto | `Naive | `Cost ] ->
   ?gov:Governor.t ->
   Database.t ->
   string ->
@@ -17,7 +16,6 @@ val run_sql :
     @raise Governor.Exhausted. *)
 
 val run_query :
-  ?strategy:[ `Auto | `Naive | `Cost ] ->
   ?gov:Governor.t ->
   Database.t ->
   Sql_ast.query ->

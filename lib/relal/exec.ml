@@ -173,13 +173,33 @@ let reader v gi =
 
 let attr_reader v a = reader v (col_idx_exn v a)
 
+(* [rid.(sel.(i))] for every i.  A join's output can run to millions
+   of rows with no operator charge until the next one, so the gather
+   polls the ambient governor every [gather_block] rows; the deadline
+   then fires inside it.  Callers run on the calling domain only ([poll]
+   mutates the governor's per-fork stride). *)
+let gather_block = 4096
+
+let gather rid sel =
+  let n = Array.length sel in
+  let out = Array.make n 0 in
+  let lo = ref 0 in
+  while !lo < n do
+    let hi = min n (!lo + gather_block) in
+    for i = !lo to hi - 1 do
+      out.(i) <- rid.(sel.(i))
+    done;
+    g_poll ();
+    lo := hi
+  done;
+  out
+
 (* Keep output rows whose index is in [sel] (in [sel] order). *)
 let select_rows v sel =
-  let n = Array.length sel in
   {
     v with
-    nrows = n;
-    rids = Array.map (fun rid -> Array.init n (fun i -> rid.(sel.(i)))) v.rids;
+    nrows = Array.length sel;
+    rids = Array.map (fun rid -> gather rid sel) v.rids;
   }
 
 (* Concatenate two views row-wise under selection vectors: output row i
@@ -190,7 +210,6 @@ let select_rows v sel =
 let join_vrels left lsel right rsel =
   let lw = Array.length left.header in
   let n = Array.length lsel in
-  let gather rid sel = Array.init n (fun i -> rid.(sel.(i))) in
   {
     header = Array.append left.header right.header;
     parts =
@@ -208,14 +227,14 @@ let join_vrels left lsel right rsel =
 let append_base left lsel bh batch bsel =
   let lw = Array.length left.header in
   let n = Array.length lsel in
-  let gather rid = Array.init n (fun i -> rid.(lsel.(i))) in
   {
     header = Array.append left.header bh;
     parts =
       Array.append left.parts
         [| { batch; off = lw; width = Array.length bh } |];
     nrows = n;
-    rids = Array.append (Array.map gather left.rids) [| bsel |];
+    rids =
+      Array.append (Array.map (fun rid -> gather rid lsel) left.rids) [| bsel |];
   }
 
 (* Growable int array for selection vectors and rid-pair output. *)
@@ -337,19 +356,19 @@ let const_pred_holds p = compile_pred (empty_vrel [||]) p 0
 (* FROM materialization                                                   *)
 (* --------------------------------------------------------------------- *)
 
-let rec source_of_from ?cost db item : string * source =
+let rec source_of_from db item : string * source =
   match item with
   | F_rel r -> (
       match Database.find_table db r.rel with
       | None -> err "executor: unknown table %s" r.rel
       | Some t -> (r.alias, S_base { alias = r.alias; tbl = t }))
   | F_derived (c, alias) ->
-      let res = run_compound ?cost db c in
+      let res = run_compound db c in
       let header = Array.map (fun c -> (alias, c)) res.cols in
       (alias, S_mat (vrel_of_batch header (Batch.of_list res.rows)))
 
-and materialize_from ?cost db item : vrel =
-  match source_of_from ?cost db item with
+and materialize_from db item : vrel =
+  match source_of_from db item with
   | _, S_mat v -> v
   | _, S_base { alias; tbl } -> vrel_of_table alias tbl
 
@@ -710,10 +729,9 @@ and index_nl_join current keys alias tbl : vrel option =
 (* Evaluate a conjunctive block: [sources] is an association
    (tv -> source) — base tables lazy, derived tables materialized;
    [conjuncts] the predicate factors.  Returns the joined vrel covering
-   every tv in [sources].  With [?cost] statistics, the next join is the
-   one with the smallest estimated output (System-R containment formula);
-   without, the greedy smallest-input heuristic. *)
-and join_conjunctive ?cost (sources : (string * source) list) conjuncts : vrel =
+   every tv in [sources].  The next join is greedily the joinable
+   relation with the smallest input. *)
+and join_conjunctive (sources : (string * source) list) conjuncts : vrel =
   (* Classify conjuncts. *)
   let local, joins, residual =
     List.fold_left
@@ -807,33 +825,12 @@ and join_conjunctive ?cost (sources : (string * source) list) conjuncts : vrel =
             end)
           !joins;
         let next =
-          (* Rank joinable relations: with statistics, by estimated join
-             output |cur|·|R| / max(ndv); otherwise by raw input size. *)
-          let score src keys =
-            match cost with
-            | None -> float_of_int (source_card src)
-            | Some stats -> (
-                let cur = float_of_int !current.nrows in
-                match (src, keys) with
-                | S_base { tbl; _ }, (_, (b : attr)) :: _ -> (
-                    let tname = Schema.name (Table.schema tbl) in
-                    match Stats.ndv stats tname b.col with
-                    | n ->
-                        cur *. float_of_int (Table.cardinality tbl)
-                        /. float_of_int (max 1 n)
-                    | exception Invalid_argument _ ->
-                        cur *. float_of_int (Table.cardinality tbl))
-                | _ ->
-                    (* Materialized input: assume a key join (output ≈
-                       the current side). *)
-                    cur)
-          in
           Hashtbl.fold
             (fun tv keys best ->
               match List.assoc_opt tv !remaining with
               | None -> best
               | Some src -> (
-                  let s = score src keys in
+                  let s = source_card src in
                   match best with
                   | Some (_, _, _, bs) when bs <= s -> best
                   | _ -> Some (tv, src, keys, s)))
@@ -1261,8 +1258,8 @@ and select_attrs q =
 (* Top-level evaluation                                                   *)
 (* --------------------------------------------------------------------- *)
 
-and run_auto ?cost db (q : query) : result =
-  let wrels = List.map (source_of_from ?cost db) q.from in
+and run_auto db (q : query) : result =
+  let wrels = List.map (source_of_from db) q.from in
   let has_aggs =
     List.exists (function Sel_agg _ -> true | _ -> false) q.select
     || q.having <> None
@@ -1297,7 +1294,7 @@ and run_auto ?cost db (q : query) : result =
             List.for_all (fun (_, src) -> source_card src > 0) unused
           in
           if nonempty_unused && used <> [] then begin
-            let joined = join_conjunctive ?cost used branch in
+            let joined = join_conjunctive used branch in
             let res =
               post_pipeline
                 { q with where = P_true; order_by = []; limit = None }
@@ -1355,7 +1352,7 @@ and run_auto ?cost db (q : query) : result =
       let conjuncts = conjuncts q.where in
       (* Keep disjunctions and other non-splittable factors as residual
          filters inside the conjunctive join. *)
-      let joined = join_conjunctive ?cost wrels conjuncts in
+      let joined = join_conjunctive wrels conjuncts in
       post_pipeline { q with where = P_true } joined
 
 and run_naive db (q : query) : result =
@@ -1368,22 +1365,22 @@ and run_naive db (q : query) : result =
   let filtered = filter_vrel joined [ q.where ] in
   post_pipeline { q with where = P_true } filtered
 
-and run_compound ?cost db (c : compound) : result =
+and run_compound db (c : compound) : result =
   match c with
-  | C_single q -> run_auto ?cost db q
+  | C_single q -> run_auto db q
   | C_union_all [] -> err "executor: empty UNION ALL"
   | C_union_all (c :: cs) ->
-      let first = run_compound ?cost db c in
+      let first = run_compound db c in
       let rows =
         List.fold_left
           (fun acc c' ->
-            let r = run_compound ?cost db c' in
+            let r = run_compound db c' in
             List.rev_append (List.rev r.rows) acc)
           first.rows cs
       in
       { first with rows }
 
-let run ?(strategy = `Auto) ?stats ?gov db q =
+let run ?(strategy = `Auto) ?gov db q =
   let saved = !governor in
   governor := gov;
   Fun.protect
@@ -1394,10 +1391,7 @@ let run ?(strategy = `Auto) ?stats ?gov db q =
       (match gov with Some g -> Governor.check_deadline g | None -> ());
       match strategy with
       | `Auto -> run_auto db q
-      | `Naive -> run_naive db q
-      | `Cost ->
-          let stats = match stats with Some s -> s | None -> Stats.create db in
-          run_auto ~cost:stats db q)
+      | `Naive -> run_naive db q)
 
 (* --------------------------------------------------------------------- *)
 (* Result helpers                                                         *)

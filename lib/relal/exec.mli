@@ -38,16 +38,15 @@ val set_pool : Putil.Dpool.t option -> unit
     pool makes the caller fall back to its sequential loop. *)
 
 val run :
-  ?strategy:[ `Auto | `Naive | `Cost ] ->
-  ?stats:Stats.t ->
+  ?strategy:[ `Auto | `Naive ] ->
   ?gov:Governor.t ->
   Database.t ->
   Sql_ast.query ->
   result
-(** Evaluate a bound query.  [`Cost] behaves like [`Auto] but chooses the
-    next join by estimated output size ([Stats.join_size]'s containment
-    formula) instead of smallest input; pass a cached [?stats] to avoid
-    recomputing statistics per query (one is created ad hoc otherwise).
+(** Evaluate a bound query.  [`Auto] (the default) plans conjunctive
+    blocks with pushdown and greedy smallest-input row-id joins;
+    [`Naive] evaluates the cross product of the FROM list and then
+    filters — the reference semantics the tests compare against.
     [?gov] arms a {!Governor} budget for the duration of the call: the
     batch loops check it cooperatively, and row production is charged at
     every operator output (joins, filters, projection).

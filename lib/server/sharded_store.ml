@@ -232,8 +232,8 @@ module Make (R : Runtime.S) = struct
         | Some c ->
             let s = Perso.Perso_cache.stats c in
             {
+              acc with
               Perso.Perso_cache.hits = acc.hits + s.hits;
-              incremental = acc.incremental + s.incremental;
               misses = acc.misses + s.misses;
               bypasses = acc.bypasses + s.bypasses;
               evictions = acc.evictions + s.evictions;

@@ -190,12 +190,10 @@ let audit (t : trial) : (unit, string) result =
       (n "completed_ok")
   else if
     n "pers_ok" + n "pers_err"
-    <> n "cache_hit" + n "cache_miss" + n "cache_incremental"
-       + n "cache_bypass"
+    <> n "cache_hit" + n "cache_miss" + n "cache_bypass"
   then
-    fail "ledger: pers %d+%d <> cache %d+%d+%d+%d" (n "pers_ok") (n "pers_err")
-      (n "cache_hit") (n "cache_miss") (n "cache_incremental")
-      (n "cache_bypass")
+    fail "ledger: pers %d+%d <> cache %d+%d+%d" (n "pers_ok") (n "pers_err")
+      (n "cache_hit") (n "cache_miss") (n "cache_bypass")
   else Ok ()
 
 let run ~seed : (unit, string) result =

@@ -18,9 +18,9 @@
        required, personalized answers are a sub-multiset of the plain
        query's answers;}
     {- {b cache}: the same (profile-edit, query) sequence driven
-       through cold-only, cached, and incremental-cache paths yields
-       byte-identical personalized SQL and result rows, and repeat
-       consults are served as cache hits ({!cache_checks}).}} *)
+       through cold-only and cached paths yields byte-identical
+       personalized SQL and result rows, and repeat consults are served
+       as cache hits ({!cache_checks}).}} *)
 
 type check = { name : string; ok : bool; detail : string }
 
@@ -41,11 +41,10 @@ val cache_checks :
   movies:int -> selections:int -> int -> string -> check list
 (** [cache_checks ~movies ~selections seed tag]: the plan-cache
     relation alone, at a scale reduced from the given one (each step
-    costs a cold pipeline, four cache consults and five executions).
+    costs a cold pipeline, two cache consults and three executions).
     Drives a seeded single-preference edit sequence — adds, removals,
-    retunes, the occasional join retune to force the cold fallback —
-    through {!Perso.Perso_cache} with the incremental patcher off and
-    on, saving each edit to {!Perso.Profile_store} (the invalidation
+    retunes, the occasional join retune — through {!Perso.Perso_cache},
+    saving each edit to {!Perso.Profile_store} (the invalidation
     signal), and checks byte-identical personalized SQL and rows
     against cold runs, plus [Hit] service on repeat consults.  Exposed
     separately so the unit suite can sweep it across many seeds. *)

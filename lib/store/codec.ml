@@ -6,8 +6,10 @@ type 'a t = { enc : Buffer.t -> 'a -> unit; dec : ctx -> 'a }
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Decode_error s)) fmt
 
+(* [n > length - pos], not [pos + n > length]: a decoded length near
+   [max_int] would overflow the sum and pass. *)
 let need ctx n =
-  if n < 0 || ctx.pos + n > String.length ctx.data then
+  if n < 0 || n > String.length ctx.data - ctx.pos then
     fail "truncated record: need %d bytes at offset %d of %d" n ctx.pos
       (String.length ctx.data)
 
@@ -44,7 +46,11 @@ let varint =
           let byte = Char.code ctx.data.[ctx.pos] in
           ctx.pos <- ctx.pos + 1;
           let acc = acc lor ((byte land 0x7F) lsl shift) in
-          if byte land 0x80 = 0 then acc else go acc (shift + 7)
+          if byte land 0x80 <> 0 then go acc (shift + 7)
+          else if acc < 0 then
+            (* a 9th byte reached the sign bit; [enc] never writes one *)
+            fail "varint overflows at offset %d" ctx.pos
+          else acc
         in
         go 0 0);
   }

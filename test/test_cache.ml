@@ -1,7 +1,7 @@
 (* The personalization plan cache: profile-store revisions and
-   invalidation hooks, LRU bounds, hit/incremental/miss sources, the
-   resilient cached ladder, and the cold/cached/incremental
-   byte-equality oracle swept across many seeds. *)
+   invalidation hooks, LRU bounds, hit/miss sources, the resilient
+   cached ladder, and the cold/cached byte-equality oracle swept across
+   many seeds. *)
 
 open Perso
 open Relal
@@ -16,7 +16,6 @@ let q db sql = Binder.bind db (Sql_parser.parse sql)
 
 let src_name = function
   | Perso_cache.Hit -> "hit"
-  | Perso_cache.Incremental -> "incremental"
   | Perso_cache.Miss -> "miss"
   | Perso_cache.Bypass -> "bypass"
 
@@ -153,7 +152,7 @@ let test_invalidation_on_save_and_delete () =
   let st = Perso_cache.stats cache in
   Alcotest.(check int) "save invalidates the fresh entry" 1
     st.Perso_cache.invalidations;
-  Alcotest.(check int) "entry stays as a patch donor" 1 st.Perso_cache.entries;
+  Alcotest.(check int) "save drops the user's entries" 0 st.Perso_cache.entries;
   let o, s = Perso_cache.personalize cache ~user:"julie" julie' query in
   Alcotest.(check bool) "stale entry is not served as a hit" true
     (s <> Perso_cache.Hit);
@@ -163,75 +162,61 @@ let test_invalidation_on_save_and_delete () =
   Alcotest.(check int) "delete drops the user's entries" 0
     (Perso_cache.stats cache).Perso_cache.entries
 
+(* Profile edits after a cached consult.  Each edit — a selection
+   retune, add and remove, a join retune — drops the user's entries,
+   so the next consult recomputes cold, matches a cold run byte for
+   byte, and then hits.  The cases keep the names of the edits the
+   plan cache once patched in place; all of them now take the cold
+   path. *)
+let edit_recomputes_cold db cache query ~params name profile =
+  Profile_store.save db ~user:"julie" profile;
+  let o, s = Perso_cache.personalize cache ~params ~user:"julie" profile query in
+  check_src (name ^ ": recomputes") Perso_cache.Miss s;
+  let cold = Personalize.personalize ~params db profile query in
+  Alcotest.(check string) (name ^ ": sql = cold") (sql_of cold) (sql_of o);
+  Alcotest.(check (list string))
+    (name ^ ": rows = cold") (rows_of db cold) (rows_of db o);
+  let _, s2 = Perso_cache.personalize cache ~params ~user:"julie" profile query in
+  check_src (name ^ ": then hits") Perso_cache.Hit s2
+
+(* Runs [edits] after a warm consult, under julie's default K=5 (her
+   top-K is cut off) and under a K above the related-path count. *)
+let under_both_k edits =
+  List.iter
+    (fun (k, label) ->
+      let db, julie, cache = setup () in
+      let query = q db motivating_sql in
+      let params = { Personalize.default_params with k = Criteria.top_r k } in
+      ignore (Perso_cache.personalize cache ~params ~user:"julie" julie query);
+      edits julie (edit_recomputes_cold db cache query ~params) label)
+    [ (5, "K=5"); (50, "K=50") ]
+
+let comedy = Atom.sel "genre" "genre" (Value.Str "comedy")
+
 let test_incremental_retune () =
-  let db, julie, cache = setup () in
-  let query = q db motivating_sql in
-  (* K far above the number of related paths: the donor P_K is not cut
-     off, so retuning a selected preference is patchable.  (Under the
-     default K=5 julie's P_K is full and the patcher must — and does —
-     fall back cold; see the fallback test.) *)
-  let params = { Personalize.default_params with k = Criteria.top_r 50 } in
-  ignore (Perso_cache.personalize cache ~params ~user:"julie" julie query);
-  (* 0.65 rather than 0.7: julie already holds thriller at 0.7, and a
-     cross-list degree tie makes the merge order ambiguous, so the
-     patcher would (rightly) refuse and go cold. *)
-  let julie' =
-    Profile.add julie (Atom.sel "genre" "genre" (Value.Str "comedy")) (d 0.65)
-  in
-  Profile_store.save db ~user:"julie" julie';
-  let o, s = Perso_cache.personalize cache ~params ~user:"julie" julie' query in
-  check_src "single-selection retune patches" Perso_cache.Incremental s;
-  let cold = Personalize.personalize ~params db julie' query in
-  Alcotest.(check string) "patched sql = cold sql" (sql_of cold) (sql_of o);
-  Alcotest.(check (list string)) "patched rows = cold rows" (rows_of db cold)
-    (rows_of db o);
-  let _, s2 = Perso_cache.personalize cache ~params ~user:"julie" julie' query in
-  check_src "patched entry then hits" Perso_cache.Hit s2
+  (* 0.65 rather than 0.7: julie already holds thriller at 0.7. *)
+  under_both_k (fun julie consult label ->
+      consult (label ^ " retune") (Profile.add julie comedy (d 0.65)))
 
 let test_retune_selected_at_cutoff_falls_back () =
+  (* comedy is in julie's full top-5: the retune moves the cutoff. *)
   let db, julie, cache = setup () in
   let query = q db motivating_sql in
-  ignore (Perso_cache.personalize cache ~user:"julie" julie query);
-  let julie' =
-    Profile.add julie (Atom.sel "genre" "genre" (Value.Str "comedy")) (d 0.7)
-  in
-  Profile_store.save db ~user:"julie" julie';
-  (* comedy is in the donor's full top-5: slots freed at the cutoff may
-     admit paths the donor never materialized, so this must go cold. *)
-  let o, s = Perso_cache.personalize cache ~user:"julie" julie' query in
-  check_src "retune of a cut-off selection recomputes" Perso_cache.Miss s;
-  let cold = Personalize.personalize db julie' query in
-  Alcotest.(check string) "fallback = cold" (sql_of cold) (sql_of o)
+  let params = Personalize.default_params in
+  ignore (Perso_cache.personalize cache ~params ~user:"julie" julie query);
+  edit_recomputes_cold db cache query ~params "retune at cutoff"
+    (Profile.add julie comedy (d 0.7))
 
 let test_incremental_add_remove () =
-  let db, julie, cache = setup () in
-  let query = q db motivating_sql in
-  let extra = Atom.sel "genre" "genre" (Value.Str "drama") in
-  ignore (Perso_cache.personalize cache ~user:"julie" julie query);
-  let with_extra = Profile.add julie extra (d 0.45) in
-  Profile_store.save db ~user:"julie" with_extra;
-  let o_add, s_add = Perso_cache.personalize cache ~user:"julie" with_extra query in
-  check_src "adding a selection patches" Perso_cache.Incremental s_add;
-  let cold_add = Personalize.personalize db with_extra query in
-  Alcotest.(check string) "add = cold" (sql_of cold_add) (sql_of o_add);
-  Profile_store.save db ~user:"julie" julie;
-  let o_rem, s_rem = Perso_cache.personalize cache ~user:"julie" julie query in
-  check_src "removing it patches back" Perso_cache.Incremental s_rem;
-  let cold_rem = Personalize.personalize db julie query in
-  Alcotest.(check string) "remove = cold" (sql_of cold_rem) (sql_of o_rem)
+  let drama = Atom.sel "genre" "genre" (Value.Str "drama") in
+  under_both_k (fun julie consult label ->
+      consult (label ^ " add") (Profile.add julie drama (d 0.45));
+      consult (label ^ " remove") julie)
 
 let test_join_edit_falls_back_cold () =
-  let db, julie, cache = setup () in
-  let query = q db motivating_sql in
-  ignore (Perso_cache.personalize cache ~user:"julie" julie query);
-  let join_edit =
-    Profile.add julie (Atom.join ("movie", "mid") ("genre", "mid")) (d 0.55)
-  in
-  Profile_store.save db ~user:"julie" join_edit;
-  let o, s = Perso_cache.personalize cache ~user:"julie" join_edit query in
-  check_src "join retune is never patched" Perso_cache.Miss s;
-  let cold = Personalize.personalize db join_edit query in
-  Alcotest.(check string) "fallback = cold" (sql_of cold) (sql_of o)
+  let join = Atom.join ("movie", "mid") ("genre", "mid") in
+  under_both_k (fun julie consult label ->
+      consult (label ^ " join retune") (Profile.add julie join (d 0.55)))
 
 let test_sql_r_sources_and_bypass () =
   let db, julie, cache = setup () in
@@ -283,8 +268,8 @@ let test_clear_and_invalidate_user () =
    under both integration methods and several K. *)
 let test_size_estimate () =
   let word_bytes = Sys.word_size / 8 in
-  let exact key profile outcome =
-    Obj.reachable_words (Obj.repr (key, profile, outcome)) * word_bytes
+  let exact key outcome =
+    Obj.reachable_words (Obj.repr (key, outcome)) * word_bytes
   in
   let cases = ref 0 in
   let check_case name db profile params sql =
@@ -292,8 +277,8 @@ let test_size_estimate () =
       Personalize.personalize ~params db profile (Sql_parser.parse sql)
     in
     let key = "julie\x01mq|top#5\x01" ^ sql in
-    let est = Size_est.entry_bytes ~key profile outcome in
-    let ex = exact key profile outcome in
+    let est = Size_est.entry_bytes ~key outcome in
+    let ex = exact key outcome in
     let ratio = float_of_int est /. float_of_int (max 1 ex) in
     incr cases;
     (if Sys.getenv_opt "SIZE_EST_DEBUG" <> None then
@@ -338,25 +323,15 @@ let test_size_estimate () =
 (* -------------------- oracle sweep: 100 seeded runs ----------------- *)
 
 let test_oracle_sweep () =
-  let n_inc = ref 0 and n_cold = ref 0 in
   for seed = 1 to 100 do
     let checks = Perso_sim.Oracle.cache_checks ~movies:120 ~selections:12 seed "sweep" in
     List.iter
       (fun c ->
         if not c.Perso_sim.Oracle.ok then
           Alcotest.failf "seed %d: %s: %s" seed c.Perso_sim.Oracle.name
-            c.Perso_sim.Oracle.detail;
-        Scanf.sscanf_opt c.Perso_sim.Oracle.detail "incremental=%d cold=%d"
-          (fun a b -> (a, b))
-        |> Option.iter (fun (a, b) ->
-               n_inc := !n_inc + a;
-               n_cold := !n_cold + b))
+            c.Perso_sim.Oracle.detail)
       checks
-  done;
-  Alcotest.(check bool)
-    (Printf.sprintf "incremental path exercised (%d incremental, %d cold)"
-       !n_inc !n_cold)
-    true (!n_inc > 0)
+  done
 
 let () =
   Alcotest.run "perso_cache"

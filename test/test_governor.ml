@@ -103,6 +103,58 @@ let test_poll_stride () =
   | () -> Alcotest.fail "64th add_rows must read the clock and trip"
   | exception Governor.Exhausted _ -> ()
 
+(* A deadline that expires once a large join's row charge has passed
+   must trip while the join is still gathering its output, not at the
+   next operator's charge.  Virtual clock: it stays at 0 until the
+   governor has been charged for the whole cross product (that charge's
+   own check passes), and reads past the deadline from then on.  With
+   a 2-row outer side the cross product's fill loop polls too few times
+   to read the clock, so the next read comes from the row-id gather —
+   or, were the gather unpolled, from the count's charge, which would
+   add another [n] rows to the progress. *)
+let test_deadline_fires_inside_join_gather () =
+  let db = Database.create () in
+  List.iter
+    (fun name ->
+      Database.add_table db
+        (Schema.make ~name ~cols:[ ("x", Value.TInt) ] ()))
+    [ "s"; "t" ];
+  let inner = 1 lsl 17 in
+  for i = 1 to 2 do
+    Database.insert db "s" [ Value.Int i ]
+  done;
+  for i = 1 to inner do
+    Database.insert db "t" [ Value.Int i ]
+  done;
+  let n = 2 * inner in
+  let gov = ref None and reading = ref false and past_charge = ref false in
+  let clock () =
+    match !gov with
+    | Some g when not !reading ->
+        reading := true;
+        let rows = (Governor.progress g).Governor.rows_produced in
+        reading := false;
+        if rows < n then 0.
+        else if not !past_charge then (
+          past_charge := true;
+          0.)
+        else 1e6
+    | _ -> 0.
+  in
+  Governor.set_clock clock;
+  Fun.protect
+    ~finally:(fun () -> Governor.set_clock Governor.real_clock)
+    (fun () ->
+      let g = Governor.start { Governor.unlimited with deadline_ms = Some 1. } in
+      gov := Some g;
+      let p =
+        exhausted_of (fun () ->
+            Engine.run_sql ~gov:g db "select count(*) as c from s a, t b")
+      in
+      Alcotest.(check string) "what ran out" "deadline" p.Governor.exhausted;
+      Alcotest.(check int) "tripped before the next operator's charge" n
+        p.Governor.rows_produced)
+
 (* ------------------------- degradation ladder --------------------- *)
 
 let test_ladder_to_unpersonalized () =
@@ -187,6 +239,8 @@ let () =
             test_selection_expansions;
           Alcotest.test_case "every-64th-call poll granularity" `Quick
             test_poll_stride;
+          Alcotest.test_case "deadline fires inside a join's gather" `Quick
+            test_deadline_fires_inside_join_gather;
         ] );
       ( "ladder",
         [
